@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .geom import (
+    _on_closed_segment,
     Point,
     Position,
     Relation,
@@ -294,11 +295,10 @@ class Channel:
 
 
 def _root_leaf_paths(i: Instance, joint: int) -> list[tuple]:
-    kids = {v: i.tree.children(v) for v in range(i.tree.n)}
     paths = []
 
     def walk(v, acc):
-        ch = kids[v]
+        ch = i.tree.children(v)
         if not ch:
             paths.append((i.tree.root, joint) + tuple(acc))
             return
@@ -387,9 +387,7 @@ def _side(anchor: Point, direction: Point, q: Point):
 def _in_polygon(q: Point, poly: tuple) -> bool:
     """Strict even-odd membership; boundary points count as outside."""
     for p, r in zip(poly, poly[1:] + poly[:1]):
-        if cross3(p, r, q) == 0 \
-                and min(p.x, r.x) <= q.x <= max(p.x, r.x) \
-                and min(p.y, r.y) <= q.y <= max(p.y, r.y):
+        if _on_closed_segment(q, Segment(p, r)):
             return False
     inside = False
     for p, r in zip(poly, poly[1:] + poly[:1]):
@@ -423,14 +421,9 @@ def segment_of(ch: Channel, q: Point) -> Optional[int]:
     return None
 
 
-def _region_points_and_rays(seg: ChannelSegment):
-    rays = seg.rays or ()
-    return seg.vertices, rays
-
-
 def _line_hits_segment_region(a: Point, b: Point, seg: ChannelSegment) -> bool:
     """Does the full line through a, b meet the (convex) region?"""
-    pts, rays = _region_points_and_rays(seg)
+    pts, rays = seg.vertices, seg.rays or ()
     signs = set()
     for q in pts:
         c = cross3(a, b, q)

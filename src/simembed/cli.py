@@ -78,7 +78,6 @@ class RenderStyle:
     vertex_radius: str = "2.0"
     vertex_fill: str = "#1a1a1a"
     padding: Fraction = Fraction(10)
-    level_lines: bool = False
 
 
 def _fmt(x) -> str:
@@ -356,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="simembed",
         description="simultaneous tree/path embedding toolkit")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for sampling operations (reserved)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker count; output is identical for any value")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build a counterexample instance")

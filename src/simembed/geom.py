@@ -1,7 +1,8 @@
 """Exact rational 2D geometry kernel.
 
-Every predicate works on exact rationals (``fractions.Fraction``); no
-floating point ever enters a sign computation.  All values are immutable
+Every predicate works on exact rationals (``fractions.Fraction``), or on
+integer points obtained from them by clearing denominators; no floating
+point ever enters a sign computation.  All values are immutable
 and safe to share between threads.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
@@ -114,34 +115,6 @@ class Line:
         return (v > 0) - (v < 0)
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Region of directions at ``apex`` from ray_lo counterclockwise to ray_hi.
-
-    ray_lo must be strictly clockwise of ray_hi and the opening must be
-    convex (angle < pi), i.e. cross(ray_lo, ray_hi) > 0.
-    """
-
-    apex: Point
-    ray_lo: Point
-    ray_hi: Point
-
-    def __post_init__(self):
-        zero = Point(0, 0)
-        if self.ray_lo == zero or self.ray_hi == zero:
-            raise GeometryError("wedge rays must be nonzero")
-        if self.ray_lo.cross(self.ray_hi) <= 0:
-            raise GeometryError("ray_lo must be strictly clockwise of ray_hi (angle < pi)")
-
-    def contains(self, p: Point, strict: bool = True) -> bool:
-        d = p - self.apex
-        lo = self.ray_lo.cross(d)
-        hi = d.cross(self.ray_hi)
-        if strict:
-            return lo > 0 and hi > 0
-        return lo >= 0 and hi >= 0
-
-
 class Orientation(Enum):
     CCW = 1
     COLLINEAR = 0
@@ -175,12 +148,82 @@ def orient(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
+# --- the integer segment kernel ---------------------------------------------
+#
+# Every contact test works on (int, int) points; the Fraction API below
+# clears the denominators of its own points and calls these.  Scaling all
+# points of one test by the same positive integer keeps every sign and
+# every comparison, so the answers are exact.
+
+IntPoint = tuple[int, int]
+
+# the relations under which two edges of one straight-line drawing conflict
+_BAD = (Relation.ProperCrossing, Relation.Touching, Relation.Overlapping)
+
+
+def int_coords(points: Iterable[Point]) -> list[IntPoint]:
+    """The points scaled by the lcm of all their denominators."""
+    points = list(points)
+    scale = lcm(*(q.denominator for p in points for q in (p.x, p.y)))
+    return [(p.x.numerator * (scale // p.x.denominator),
+             p.y.numerator * (scale // p.y.denominator)) for p in points]
+
+
+def _in_box(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def int_on_segment(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
+    """p lies on the closed segment ab (collinear and between, inclusive)."""
+    return ((b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
+            and _in_box(p, a, b))
+
+
+def int_relation(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> Relation:
+    """segment_relation of the segments ab and cd (a != b, c != d)."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    o1 = ux * (c[1] - a[1]) - uy * (c[0] - a[0])
+    o2 = ux * (d[1] - a[1]) - uy * (d[0] - a[0])
+    if o1 > 0 and o2 > 0 or o1 < 0 and o2 < 0:
+        return Relation.Disjoint
+    if o1 == 0 and o2 == 0:
+        # collinear: compare 1D intervals along the dominant axis
+        k = 0 if ux else 1
+        lo = max(min(a[k], b[k]), min(c[k], d[k]))
+        hi = min(max(a[k], b[k]), max(c[k], d[k]))
+        if lo > hi:
+            return Relation.Disjoint
+        if lo < hi:
+            return Relation.Overlapping
+        # single contact point; it is an endpoint of both segments
+        return Relation.SharedEndpointOnly
+    vx, vy = d[0] - c[0], d[1] - c[1]
+    o3 = vx * (a[1] - c[1]) - vy * (a[0] - c[0])
+    o4 = vx * (b[1] - c[1]) - vy * (b[0] - c[0])
+    if o3 > 0 and o4 > 0 or o3 < 0 and o4 < 0:
+        return Relation.Disjoint
+    if o1 and o2 and o3 and o4:
+        return Relation.ProperCrossing
+    # the lines differ, so the segments share at most one point: an
+    # endpoint of one lying on the other closed segment
+    if o1 == 0 and _in_box(c, a, b):
+        p = c
+    elif o2 == 0 and _in_box(d, a, b):
+        p = d
+    elif o3 == 0 and _in_box(a, c, d):
+        p = a
+    elif o4 == 0 and _in_box(b, c, d):
+        p = b
+    else:
+        return Relation.Disjoint
+    if (p == a or p == b) and (p == c or p == d):
+        return Relation.SharedEndpointOnly
+    return Relation.Touching
+
+
 def _on_closed_segment(p: Point, s: Segment) -> bool:
-    # collinear + between the endpoints (inclusive)
-    if cross3(s.a, s.b, p) != 0:
-        return False
-    return (min(s.a.x, s.b.x) <= p.x <= max(s.a.x, s.b.x)
-            and min(s.a.y, s.b.y) <= p.y <= max(s.a.y, s.b.y))
+    return int_on_segment(*int_coords((p, s.a, s.b)))
 
 
 def segment_relation(s1: Segment, s2: Segment) -> Relation:
@@ -190,42 +233,7 @@ def segment_relation(s1: Segment, s2: Segment) -> Relation:
     one lies on the closed other without being a shared endpoint.
     Overlapping: collinear with a common sub-segment of positive length.
     """
-    a, b, c, d = s1.a, s1.b, s2.a, s2.b
-    o1 = cross3(a, b, c)
-    o2 = cross3(a, b, d)
-    o3 = cross3(c, d, a)
-    o4 = cross3(c, d, b)
-
-    if o1 == 0 and o2 == 0:
-        # collinear: compare 1D intervals along the dominant axis
-        if a.x != b.x:
-            key = lambda p: p.x
-        else:
-            key = lambda p: p.y
-        lo1, hi1 = sorted((key(a), key(b)))
-        lo2, hi2 = sorted((key(c), key(d)))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return Relation.Disjoint
-        if lo < hi:
-            return Relation.Overlapping
-        # single contact point; it is an endpoint of both segments
-        return Relation.SharedEndpointOnly
-
-    if (o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0 \
-            and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0:
-        return Relation.ProperCrossing
-
-    shared = ({a, b} & {c, d})
-    contacts = []
-    for p, s in ((c, s1), (d, s1), (a, s2), (b, s2)):
-        if _on_closed_segment(p, s):
-            contacts.append(p)
-    if not contacts:
-        return Relation.Disjoint
-    if shared and all(p in shared for p in contacts):
-        return Relation.SharedEndpointOnly
-    return Relation.Touching
+    return int_relation(*int_coords((s1.a, s1.b, s2.a, s2.b)))
 
 
 def point_in_triangle(p: Point, t: tuple[Point, Point, Point]) -> Position:

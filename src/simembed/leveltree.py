@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from .geom import Line, Point
+from .geom import _BAD, Line, Point, int_coords, int_on_segment, int_relation
 from .model import Drawing, RootedTree, ValidationReport
 from .planarity import CrossingReport, check_drawing
 
@@ -212,53 +212,11 @@ def _grid_search(t: LevelTree, width: int, budget: int):
     parent = t.tree.parent
     edges = t.tree.edges()
     # parent-before-child order so each placement closes one edge
-    order = []
-    stack = [t.tree.root]
-    kids: dict[int, list[int]] = {v: [] for v in range(n)}
-    for v in range(n):
-        if parent[v] is not None:
-            kids[parent[v]].append(v)
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
+    order = t.tree.preorder()
 
     pos: dict[int, tuple[int, int]] = {}
     usedx: dict[int, set] = {lv: set() for lv in set(phi)}
     nodes = 0
-
-    def cross(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_closed(p, a, b):
-        return (cross(a, b, p) == 0
-                and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-    def bad(p1, p2, p3, p4):
-        shared = {p1, p2} & {p3, p4}
-        o1 = cross(p1, p2, p3)
-        o2 = cross(p1, p2, p4)
-        o3 = cross(p3, p4, p1)
-        o4 = cross(p3, p4, p2)
-        if o1 == 0 and o2 == 0:
-            key = (lambda p: p[0]) if p1[0] != p2[0] else (lambda p: p[1])
-            lo1, hi1 = sorted((key(p1), key(p2)))
-            lo2, hi2 = sorted((key(p3), key(p4)))
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo > hi:
-                return False
-            if lo < hi:
-                return True
-            return not shared
-        if (o1 > 0) != (o2 > 0) and o1 and o2 and (o3 > 0) != (o4 > 0) and o3 and o4:
-            return True
-        for p, a, b in ((p3, p1, p2), (p4, p1, p2), (p1, p3, p4), (p2, p3, p4)):
-            if p == a or p == b or p in shared:
-                continue
-            if on_closed(p, a, b):
-                return True
-        return False
 
     def rec(k):
         nonlocal nodes
@@ -280,14 +238,14 @@ def _grid_search(t: LevelTree, width: int, budget: int):
                 for u, w in edges:
                     if w == v or u not in pos or w not in pos:
                         continue
-                    if bad(a, b, pos[u], pos[w]):
+                    if int_relation(a, b, pos[u], pos[w]) in _BAD:
                         ok = False
                         break
                 if ok:
                     for w, pw in pos.items():
                         if w in (par, v):
                             continue
-                        if on_closed(pw, a, b):
+                        if int_on_segment(pw, a, b):
                             ok = False
                             break
             if ok:
@@ -295,7 +253,7 @@ def _grid_search(t: LevelTree, width: int, budget: int):
                 for u, w in edges:
                     if v in (u, w):
                         continue
-                    if u in pos and w in pos and on_closed(pnew, pos[u], pos[w]):
+                    if u in pos and w in pos and int_on_segment(pnew, pos[u], pos[w]):
                         ok = False
                         break
             if ok:
@@ -608,12 +566,9 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                       nodes=onodes, metadata=meta)
 
     # exact int coordinates for the hot loop
-    from math import lcm
-    denom = 1
-    for pts in grid:
-        for p in pts:
-            denom = lcm(denom, p.x.denominator, p.y.denominator)
-    icand = [[(int(p.x * denom), int(p.y * denom)) for p in c] for c in cand]
+    flat = [p for pts in grid for p in pts]
+    ic = dict(zip(flat, int_coords(flat)))
+    icand = [[ic[p] for p in c] for c in cand]
 
     # mirror symmetry: reflection across the axis perpendicular to the
     # lines' direction, valid only if it maps every region's candidate
@@ -646,55 +601,11 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
         for a, b in zip(group, group[1:]):
             must_precede[b] = a
 
-    # vertex order: parent before child, DFS
-    order = []
-    kids: dict[int, list[int]] = {v: [] for v in range(n)}
-    for v in range(n):
-        if parent[v] is not None:
-            kids[parent[v]].append(v)
-    stack = [t.tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(kids[v]))
-    rank = {v: i for i, v in enumerate(order)}
+    order = t.tree.preorder()
 
     placed: dict[int, int] = {}  # vertex -> candidate index
     nodes = 0
     conflict_cache: dict[tuple, int] = {}
-
-    def cross(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_closed(p, a, b):
-        return (cross(a, b, p) == 0
-                and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-    def seg_bad(p1, p2, p3, p4):
-        shared = {p1, p2} & {p3, p4}
-        o1 = cross(p1, p2, p3)
-        o2 = cross(p1, p2, p4)
-        o3 = cross(p3, p4, p1)
-        o4 = cross(p3, p4, p2)
-        if o1 == 0 and o2 == 0:
-            key = (lambda p: p[0]) if p1[0] != p2[0] else (lambda p: p[1])
-            lo1, hi1 = sorted((key(p1), key(p2)))
-            lo2, hi2 = sorted((key(p3), key(p4)))
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo > hi:
-                return False
-            if lo < hi:
-                return True
-            return not shared
-        if (o1 > 0) != (o2 > 0) and o1 and o2 and (o3 > 0) != (o4 > 0) and o3 and o4:
-            return True
-        for p, a, b in ((p3, p1, p2), (p4, p1, p2), (p1, p3, p4), (p2, p3, p4)):
-            if p == a or p == b or p in shared:
-                continue
-            if on_closed(p, a, b):
-                return True
-        return False
 
     def edge_conflict_mask(a_pt, b_pt, anchor_pt, free_v):
         """Bitmask of free_v's candidates q where segment(anchor, q)
@@ -707,7 +618,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                 if q == anchor_pt:
                     m |= 1 << idx
                     continue
-                if seg_bad(a_pt, b_pt, anchor_pt, q) or on_closed(q, a_pt, b_pt):
+                if (int_relation(a_pt, b_pt, anchor_pt, q) in _BAD
+                        or int_on_segment(q, a_pt, b_pt)):
                     m |= 1 << idx
             conflict_cache[key] = m
         return m
@@ -759,7 +671,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                 a = icand[u][placed[u]]
                 for e0, e1 in edges:
                     if e0 in placed and e1 in placed and v not in (e0, e1):
-                        if seg_bad(a, pnew, icand[e0][placed[e0]], icand[e1][placed[e1]]):
+                        if int_relation(a, pnew, icand[e0][placed[e0]],
+                                        icand[e1][placed[e1]]) in _BAD:
                             ok = False
                             break
                 if not ok:
@@ -767,7 +680,7 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                 for w, cw in placed.items():
                     if w in (u, v):
                         continue
-                    if on_closed(icand[w][cw], a, pnew):
+                    if int_on_segment(icand[w][cw], a, pnew):
                         ok = False
                         break
                 if not ok:
@@ -775,7 +688,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             if ok:
                 for e0, e1 in edges:
                     if e0 in placed and e1 in placed and v not in (e0, e1):
-                        if on_closed(pnew, icand[e0][placed[e0]], icand[e1][placed[e1]]):
+                        if int_on_segment(pnew, icand[e0][placed[e0]],
+                                          icand[e1][placed[e1]]):
                             ok = False
                             break
             if not ok:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .geom import Point
@@ -68,8 +69,28 @@ class RootedTree:
                 depth[w] = d
         return depth
 
+    @cached_property
+    def _kids(self) -> tuple[tuple[VertexId, ...], ...]:
+        # built on the first children() call, not at construction; tuples,
+        # so that every leaf shares the one empty tuple
+        kids: list[list[VertexId]] = [[] for _ in range(self.n)]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(v)
+        return tuple(map(tuple, kids))
+
     def children(self, v: VertexId) -> list[VertexId]:
-        return [u for u in range(self.n) if self.parent[u] == v]
+        return list(self._kids[v])
+
+    def preorder(self) -> list[VertexId]:
+        """Depth-first order, each parent before its children, children in
+        increasing id order."""
+        order, stack = [], [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(self._kids[v]))
+        return order
 
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         return [(self.parent[v], v) for v in range(self.n) if self.parent[v] is not None]
@@ -182,13 +203,18 @@ def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
             order = [int(tok) for tok in rest.split()]
         elif tag == "roles":
             codes = rest.replace(" ", "")
-            labels = [_ROLE_BY_CODE[c] for c in codes]
+            try:
+                labels = [_ROLE_BY_CODE[c] for c in codes]
+            except KeyError as e:
+                raise FormatError(f"unknown role code {e.args[0]!r}") from None
         else:
             raise FormatError(f"unknown record {tag!r}")
     if parent is None or order is None:
         raise FormatError("tree and path records are required")
     if len(parent) != n or len(order) != n:
         raise FormatError("record length disagrees with header")
+    if set(order) != set(range(n)):
+        raise FormatError("path record must list each vertex 0..n-1 once")
     tree = RootedTree.from_parent(parent, labels)
     return Instance(tree, PathGraph.of(order), edge_disjoint_required)
 
@@ -213,7 +239,10 @@ def load_drawing(text: str) -> Drawing:
     pos = {}
     for ln in lines[1:]:
         vid, xs, ys = ln.split()
-        pos[int(vid)] = Point(Fraction(xs), Fraction(ys))
+        try:
+            pos[int(vid)] = Point(Fraction(xs), Fraction(ys))
+        except ZeroDivisionError:
+            raise FormatError(f"zero denominator in {ln!r}") from None
     if len(pos) != n:
         raise FormatError("vertex count disagrees with header")
     return Drawing(pos)

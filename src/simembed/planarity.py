@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .geom import Point, Relation, Segment, cross3, segment_relation
+from .geom import _BAD, Point, int_coords, int_on_segment, int_relation
 from .model import Drawing, Instance, validate_instance
 
 Edge = tuple[int, int]
@@ -25,11 +25,6 @@ class CoincidentPoints(PlanarityError):
     pass
 
 
-class Strategy(Enum):
-    Naive = "naive"
-    Sweep = "sweep"
-
-
 @dataclass
 class CrossingReport:
     crossings: list = field(default_factory=list)  # (edge, edge, Relation)
@@ -40,94 +35,7 @@ class CrossingReport:
         return not self.crossings and not self.vertex_on_edge
 
 
-_BAD = (Relation.ProperCrossing, Relation.Touching, Relation.Overlapping)
-
-
-def _point_on_closed_edge(p: Point, a: Point, b: Point) -> bool:
-    if cross3(a, b, p) != 0:
-        return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-
-
-def _int_coords(d: Drawing, vertices) -> dict:
-    """Clear all denominators at once: exact, but with int-only arithmetic
-    in the pairwise tests afterwards."""
-    from math import lcm
-    dens = [q for v in vertices for q in
-            (d.pos[v].x.denominator, d.pos[v].y.denominator)]
-    scale = lcm(*dens) if dens else 1
-    return {v: (d.pos[v].x.numerator * (scale // d.pos[v].x.denominator),
-                d.pos[v].y.numerator * (scale // d.pos[v].y.denominator))
-            for v in vertices}
-
-
-def _cross_int(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _on_closed_int(p, a, b) -> bool:
-    return (_cross_int(a, b, p) == 0
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _bad_int(a, b, c, d) -> bool:
-    """True iff the closed segments ab and cd meet in anything more than a
-    single shared endpoint; mirrors segment_relation's violation classes."""
-    d1 = _cross_int(c, d, a)
-    d2 = _cross_int(c, d, b)
-    d3 = _cross_int(a, b, c)
-    d4 = _cross_int(a, b, d)
-    if d1 == d2 == 0:  # collinear
-        if a[0] != b[0] or c[0] != d[0]:
-            lo1, hi1 = min(a[0], b[0]), max(a[0], b[0])
-            lo2, hi2 = min(c[0], d[0]), max(c[0], d[0])
-        else:
-            lo1, hi1 = min(a[1], b[1]), max(a[1], b[1])
-            lo2, hi2 = min(c[1], d[1]), max(c[1], d[1])
-        if hi1 < lo2 or hi2 < lo1:
-            return False
-        return max(lo1, lo2) != min(hi1, hi2)  # a positive overlap is bad
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-            and d1 and d2 and d3 and d4:
-        return True  # proper crossing
-    contact = None
-    for p, dd, (q, r) in ((a, d1, (c, d)), (b, d2, (c, d)),
-                          (c, d3, (a, b)), (d, d4, (a, b))):
-        if dd == 0 and _on_closed_int(p, q, r):
-            contact = p
-            break
-    if contact is None:
-        return False
-    shared = (contact in (a, b)) and (contact in (c, d))
-    return not shared
-
-
-def _edge_pairs_naive(edges):
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            yield i, j
-
-
-def _edge_pairs_sweep(edges, d):
-    # sweep over x: only pairs whose closed x-intervals overlap can meet
-    def span(e):
-        a, b = d.pos[e[0]], d.pos[e[1]]
-        return (min(a.x, b.x), max(a.x, b.x))
-
-    order = sorted(range(len(edges)), key=lambda i: span(edges[i]))
-    active: list[int] = []
-    for i in order:
-        lo, hi = span(edges[i])
-        active = [j for j in active if span(edges[j])[1] >= lo]
-        for j in active:
-            yield (i, j) if i < j else (j, i)
-        active.append(i)
-
-
-def check_drawing(edges: Sequence[Edge], d: Drawing,
-                  strategy: Strategy = Strategy.Naive) -> CrossingReport:
+def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
     """Report every violating edge pair and every vertex on a foreign edge.
 
     SharedEndpointOnly contacts are allowed; ProperCrossing, Touching and
@@ -141,31 +49,31 @@ def check_drawing(edges: Sequence[Edge], d: Drawing,
             raise CoincidentPoints(f"edge ({u},{v}) has coincident endpoints")
 
     rep = CrossingReport()
-    pairs = (_edge_pairs_naive(edges) if strategy is Strategy.Naive
-             else _edge_pairs_sweep(edges, d))
-    ic = _int_coords(d, sorted(d.pos))
-    hits = set()
-    for i, j in pairs:
-        if (i, j) in hits:
-            continue
-        e, f = edges[i], edges[j]
-        if _bad_int(ic[e[0]], ic[e[1]], ic[f[0]], ic[f[1]]):
-            hits.add((i, j))
-    rep.crossings = [(edges[i], edges[j],
-                      segment_relation(Segment(d.pos[edges[i][0]], d.pos[edges[i][1]]),
-                                       Segment(d.pos[edges[j][0]], d.pos[edges[j][1]])))
-                     for i, j in sorted(hits)]
-    for v in sorted(d.pos):
-        for e in edges:
-            if v in e:
-                continue
-            if _on_closed_int(ic[v], ic[e[0]], ic[e[1]]):
+    vs = sorted(d.pos)
+    ic = dict(zip(vs, int_coords(d.pos[v] for v in vs)))
+    segs = [(ic[u], ic[v]) for u, v in edges]
+    spans = [(min(a[0], b[0]), max(a[0], b[0])) for a, b in segs]
+    # sweep over x: only pairs whose closed x-intervals overlap can meet
+    hits = []
+    active: list[int] = []
+    for i in sorted(range(len(edges)), key=spans.__getitem__):
+        lo = spans[i][0]
+        active = [j for j in active if spans[j][1] >= lo]
+        for j in active:
+            e, f = min(i, j), max(i, j)
+            rel = int_relation(*segs[e], *segs[f])
+            if rel in _BAD:
+                hits.append((e, f, rel))
+        active.append(i)
+    rep.crossings = [(edges[e], edges[f], rel) for e, f, rel in sorted(hits)]
+    for v in vs:
+        for e, (a, b) in zip(edges, segs):
+            if v not in e and int_on_segment(ic[v], a, b):
                 rep.vertex_on_edge.append((v, e))
     return rep
 
 
-def check_simultaneous(i: Instance, d: Drawing,
-                       strategy: Strategy = Strategy.Naive):
+def check_simultaneous(i: Instance, d: Drawing):
     """Check tree and path independently on the shared placement."""
     rep = validate_instance(i)
     if not rep.valid:
@@ -173,8 +81,8 @@ def check_simultaneous(i: Instance, d: Drawing,
     missing = set(range(i.tree.n)) - set(d.pos)
     if missing:
         raise UndrawnVertex(f"vertices not drawn: {sorted(missing)}")
-    return (check_drawing(i.tree.edges(), d, strategy),
-            check_drawing(i.path.edges(), d, strategy))
+    return (check_drawing(i.tree.edges(), d),
+            check_drawing(i.path.edges(), d))
 
 
 class SearchStatus(Enum):
@@ -191,16 +99,11 @@ class SearchResult:
 
 
 def _bfs_order(tree) -> list[int]:
-    kids: dict[int, list[int]] = {v: [] for v in range(tree.n)}
-    for v in range(tree.n):
-        p = tree.parent[v]
-        if p is not None:
-            kids[p].append(v)
     order, queue = [], [tree.root]
     while queue:
         v = queue.pop(0)
         order.append(v)
-        queue.extend(kids[v])
+        queue.extend(tree.children(v))
     return order
 
 
@@ -231,18 +134,21 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
         for u, v in es:
             closing[v].append((g, u, v))
 
+    ipts = int_coords(pts)
+    to_point = dict(zip(ipts, pts))
+
     # symmetry reduction: first vertex pinned to the least candidate;
     # second kept weakly above it when the candidate set is mirror-symmetric
     # about that horizontal axis (otherwise the cut would lose completeness)
-    y0 = pts[0].y
-    mirrored = {Point(p.x, 2 * y0 - p.y) for p in pts} == set(pts)
+    y0 = ipts[0][1]
+    mirrored = {(x, 2 * y0 - y) for x, y in ipts} == set(ipts)
 
-    pos: dict[int, Point] = {}
-    used: set[Point] = set()
+    pos: dict[int, tuple[int, int]] = {}
+    used: set[tuple[int, int]] = set()
     nodes = 0
     done_edges: list[list[tuple[int, int]]] = [[], []]  # per graph
 
-    def ok(v: Point, placed_v: int) -> bool:
+    def ok(v: tuple[int, int], placed_v: int) -> bool:
         # check the newly completed edges against prior ones (and against
         # each other), plus vertex-on-edge both ways
         fresh: list[list[tuple[int, int]]] = [[], []]
@@ -251,35 +157,34 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
             for (u, w) in done_edges[g] + fresh[g]:
                 pu = pos[u] if u != placed_v else v
                 pw = pos[w] if w != placed_v else v
-                rel = segment_relation(Segment(pa, pb), Segment(pu, pw))
-                if rel in _BAD:
+                if int_relation(pa, pb, pu, pw) in _BAD:
                     return False
             fresh[g].append((a, b))
         # vertex-on-edge: new point vs all done edges; new edges vs all points
         for g in (0, 1):
             for (u, w) in done_edges[g]:
-                if placed_v not in (u, w) and _point_on_closed_edge(v, pos[u], pos[w]):
+                if placed_v not in (u, w) and int_on_segment(v, pos[u], pos[w]):
                     return False
         for g, a, b in closing[placed_v]:
             for w, pw in pos.items():
-                if w not in (a, placed_v) and _point_on_closed_edge(pw, pos[a], v):
+                if w not in (a, placed_v) and int_on_segment(pw, pos[a], v):
                     return False
         return True
 
     def rec(k: int) -> Optional[SearchResult]:
         nonlocal nodes
         if k == n:
-            d = Drawing(dict(pos))
+            d = Drawing({w: to_point[p] for w, p in pos.items()})
             tr, pr = check_simultaneous(i, d)
             assert tr.planar and pr.planar
             return SearchResult(SearchStatus.Found, d, nodes)
         v = order[k]
-        for p in pts:
+        for p in ipts:
             if p in used:
                 continue
-            if k == 0 and p != pts[0]:
+            if k == 0 and p != ipts[0]:
                 break
-            if k == 1 and mirrored and p.y < y0:
+            if k == 1 and mirrored and p[1] < y0:
                 continue
             nodes += 1
             if nodes > budget:

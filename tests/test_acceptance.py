@@ -54,7 +54,6 @@ from simembed.leveltree import (
 from simembed.model import Instance, PathGraph, RootedTree, tree_depth
 from simembed.planarity import (
     SearchStatus,
-    Strategy,
     check_drawing,
     search_embedding,
 )
@@ -67,6 +66,7 @@ from test_analyzer import (
     passage_witness,
     zigzag_witness,
 )
+from test_planarity import all_pairs_reference
 
 GADGET = RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3, 1, 2, 3])
 
@@ -192,14 +192,9 @@ class TestAcceptance6CrossChecks:
         return Point(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
                      Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
 
-    def test_naive_vs_sweep_on_random_drawings(self):
+    def test_check_drawing_vs_all_pairs_random(self):
         rng = random.Random(2024)
         from simembed.model import Drawing
-
-        def norm(rep):
-            return (sorted((tuple(sorted((a, b))), rel.value)
-                           for a, b, rel in rep.crossings),
-                    sorted(rep.vertex_on_edge))
 
         for _ in range(1000):
             n = rng.randrange(3, 13)
@@ -211,9 +206,9 @@ class TestAcceptance6CrossChecks:
             pts = rng.sample([(x, y) for x in range(8) for y in range(8)], n)
             d = Drawing({v: Point(*pts[v]) for v in range(n)})
             edges = inst.tree.edges() + inst.path.edges()
-            a = check_drawing(edges, d, strategy=Strategy.Naive)
-            b = check_drawing(edges, d, strategy=Strategy.Sweep)
-            assert norm(a) == norm(b), (parent, order, pts)
+            rep = check_drawing(edges, d)
+            assert (rep.crossings, rep.vertex_on_edge) == \
+                all_pairs_reference(edges, d), (parent, order, pts)
 
     def test_orient_antisymmetry(self):
         rng = random.Random(7)

@@ -256,16 +256,6 @@ class TestRender:
         assert main(["render", sge, str(sgd), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_flag_does_not_change_output(self, tmp_path):
-        inst, d = self.small()
-        sge = write_instance(tmp_path, inst)
-        sgd = tmp_path / "d.sgd"
-        sgd.write_text(dump_drawing(d))
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        main(["--threads", "1", "render", sge, str(sgd), "--out", str(a)])
-        main(["--threads", "8", "render", sge, str(sgd), "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
     def test_display_precision_is_4_decimals(self):
         inst, d = self.small()
         from fractions import Fraction
@@ -293,3 +283,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+    def assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_role_code(self, tmp_path, capsys):
+        sge = tmp_path / "roles.sge"
+        sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 2\nroles RX\n")
+        sgd = tmp_path / "d.sgd"
+        sgd.write_text("sgd 1 3\n0 0 0\n1 1 0\n2 0 1\n")
+        assert main(["check", str(sge), str(sgd)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_zero_denominator_coordinate(self, tmp_path, capsys):
+        sge = tmp_path / "a.sge"
+        sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 2\n")
+        sgd = tmp_path / "d.sgd"
+        sgd.write_text("sgd 1 3\n0 1/0 0\n1 1 0\n2 0 1\n")
+        assert main(["check", str(sge), str(sgd)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_path_vertex_outside_tree(self, tmp_path, capsys):
+        sge = tmp_path / "a.sge"
+        sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 7\n")
+        assert main(["embed-depth2", str(sge)]) == 2
+        self.assert_one_error_line(capsys)

@@ -63,6 +63,11 @@ class TestRootedTree:
         assert t.children(0) == [1, 2]
         assert t.edges() == [(0, 1), (0, 2), (1, 3)]
 
+    def test_preorder_parent_before_child(self):
+        t = RootedTree.from_parent([3, 3, 0, None, 0, 1])
+        assert t.preorder() == [3, 0, 2, 4, 1, 5]
+        assert t.children(3) == [0, 1]
+
 
 class TestTreeDepth:
     def test_star(self):

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simembed.geom import Point
+from simembed.geom import (
+    Point,
+    Relation,
+    Segment,
+    _on_closed_segment,
+    int_relation,
+    segment_relation,
+)
 from simembed.model import Drawing, Instance, PathGraph, RootedTree
 from simembed.planarity import (
     SearchStatus,
-    Strategy,
     check_drawing,
     check_simultaneous,
     search_embedding,
@@ -85,46 +91,81 @@ def random_drawing(rng, n):
     return Drawing({v: P(x, y) for v, (x, y) in enumerate(sorted(pts))})
 
 
-class TestStrategyEquivalence:
-    def test_naive_vs_sweep_random(self):
+def all_pairs_reference(edges, d):
+    """check_drawing's answer from every edge pair through segment_relation
+    and every vertex against every foreign edge."""
+    bad = (Relation.ProperCrossing, Relation.Touching, Relation.Overlapping)
+    crossings = []
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            (a, b), (c, e) = edges[i], edges[j]
+            rel = segment_relation(Segment(d.pos[a], d.pos[b]),
+                                   Segment(d.pos[c], d.pos[e]))
+            if rel in bad:
+                crossings.append((edges[i], edges[j], rel))
+    on_edge = [(v, e) for v in sorted(d.pos) for e in edges
+               if v not in e and _on_closed_segment(
+                   d.pos[v], Segment(d.pos[e[0]], d.pos[e[1]]))]
+    return crossings, on_edge
+
+
+class TestCheckDrawingReference:
+    def test_matches_all_pairs_random(self):
         rng = random.Random(7)
         for _ in range(120):
             n = rng.randrange(3, 13)
             inst = random_instance(rng, n)
             d = random_drawing(rng, n)
             for edges in (inst.tree.edges(), inst.path.edges()):
-                a = check_drawing(edges, d, Strategy.Naive)
-                b = check_drawing(edges, d, Strategy.Sweep)
-                assert a.crossings == b.crossings
-                assert a.vertex_on_edge == b.vertex_on_edge
+                rep = check_drawing(edges, d)
+                assert (rep.crossings, rep.vertex_on_edge) == \
+                    all_pairs_reference(edges, d)
 
 
-class TestIntFastPath:
-    def test_agrees_with_exact_relation(self):
-        # the integer-scaled violation test must match the Fraction
-        # predicate's violation classes on arbitrary segment pairs
-        from simembed.geom import Relation, Segment, segment_relation
-        from simembed.planarity import _bad_int, _int_coords
+GRID = [(x, y) for x in range(4) for y in range(4)]
+SEGMENTS = [(p, q) for p in GRID for q in GRID if p != q]
 
-        rng = random.Random(11)
-        bad = (Relation.ProperCrossing, Relation.Touching, Relation.Overlapping)
-        checked = 0
-        while checked < 2000:
-            pts = [(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)),
-                    Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
-                   for _ in range(4)]
-            if pts[0] == pts[1] or pts[2] == pts[3]:
-                continue
-            a, b, c, dd = (P(x, y) for x, y in pts)
-            d = Drawing({0: a, 1: b, 2: c, 3: dd}) if len({a, b, c, dd}) == 4 else None
-            rel = segment_relation(Segment(a, b), Segment(c, dd))
-            from math import lcm
-            scale = lcm(*[q.denominator for p in (a, b, c, dd) for q in (p.x, p.y)])
-            ip = [(p.x.numerator * (scale // p.x.denominator),
-                   p.y.numerator * (scale // p.y.denominator))
-                  for p in (a, b, c, dd)]
-            assert _bad_int(*ip) == (rel in bad), (pts, rel)
-            checked += 1
+
+def square_symmetries():
+    # the 8 symmetries of the 4x4 grid, each mapping it onto itself
+    maps = []
+    for swap in (False, True):
+        for fx in (False, True):
+            for fy in (False, True):
+                def f(p, swap=swap, fx=fx, fy=fy):
+                    x, y = (p[1], p[0]) if swap else p
+                    return (3 - x if fx else x, 3 - y if fy else y)
+                maps.append(f)
+    return maps
+
+
+class TestSegmentKernel:
+    def test_exhaustive_4x4_grid(self):
+        # all 57,600 ordered pairs of directed segments on the 4x4 grid
+        table = {(s, t): int_relation(*s, *t) for s in SEGMENTS for t in SEGMENTS}
+        counts = {}
+        for rel in table.values():
+            counts[rel] = counts.get(rel, 0) + 1
+        assert counts == {Relation.Disjoint: 30_960,
+                          Relation.SharedEndpointOnly: 12_736,
+                          Relation.ProperCrossing: 8_304,
+                          Relation.Touching: 4_256,
+                          Relation.Overlapping: 1_344}
+        syms = square_symmetries()
+        shift = (Fraction(1, 3), Fraction(2, 5))
+
+        def rational(p):
+            return P((p[0] + shift[0]) / 7, (p[1] + shift[1]) / 7)
+
+        for (s, t), rel in table.items():
+            (a, b), (c, d) = s, t
+            assert table[t, s] is rel
+            assert table[(b, a), t] is rel
+            assert table[s, (d, c)] is rel
+            for f in syms:
+                assert table[(f(a), f(b)), (f(c), f(d))] is rel
+            assert segment_relation(Segment(rational(a), rational(b)),
+                                    Segment(rational(c), rational(d))) is rel
 
 
 class TestSearchEmbedding:
