@@ -266,7 +266,7 @@ def cmd_level_search(args) -> int:
         grid = region_candidates(rs, per_axis=args.grid, span=args.grid)
         res = search_region_level_planar(lt, rs, grid, budget=args.budget)
         rec = {"status": res.status.name, "nodes": res.nodes,
-               "metadata": {k: str(v) for k, v in (res.metadata or {}).items()}}
+               "metadata": res.metadata}
         _emit(args, rec, f"{res.status.name} after {res.nodes} nodes")
         if res.status is RegionStatus.Found:
             return EXIT_CLEAN

@@ -17,13 +17,15 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional, Sequence
 
-from .geom import _BAD, Line, Point, int_coords, int_on_segment, int_relation
+from .geom import Line, Point, int_coords
 from .model import Drawing, RootedTree, ValidationReport
-from .planarity import CrossingReport, check_drawing
-
-
-class BudgetExceeded(Exception):
-    pass
+from .planarity import (
+    BudgetExceeded,
+    CrossingReport,
+    _place,
+    _square_symmetries,
+    check_drawing,
+)
 
 
 @dataclass(frozen=True)
@@ -203,70 +205,21 @@ def _ordering_oracle(t: LevelTree, budget: int):
     return result, nodes
 
 
-# --- geometric grid search ------------------------------------------------
+# --- geometric searches ---------------------------------------------------
 
-def _grid_search(t: LevelTree, width: int, budget: int):
-    """Backtracking over injective integer x in {1..width} per level."""
-    n = t.tree.n
-    phi = t.phi
-    parent = t.tree.parent
-    edges = t.tree.edges()
-    # parent-before-child order so each placement closes one edge
-    order = t.tree.preorder()
+def _subtree_shape(t: RootedTree, phi, v) -> tuple:
+    kids = sorted(_subtree_shape(t, phi, c) for c in t.children(v))
+    return (phi[v], tuple(kids))
 
-    pos: dict[int, tuple[int, int]] = {}
-    usedx: dict[int, set] = {lv: set() for lv in set(phi)}
-    nodes = 0
 
-    def rec(k):
-        nonlocal nodes
-        if k == n:
-            return {v: Fraction(p[0]) for v, p in pos.items()}
-        v = order[k]
-        lv = phi[v]
-        par = parent[v]
-        for x in range(1, width + 1):
-            if x in usedx[lv]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            pnew = (x, lv)
-            ok = True
-            if par is not None:
-                a, b = pos[par], pnew
-                for u, w in edges:
-                    if w == v or u not in pos or w not in pos:
-                        continue
-                    if int_relation(a, b, pos[u], pos[w]) in _BAD:
-                        ok = False
-                        break
-                if ok:
-                    for w, pw in pos.items():
-                        if w in (par, v):
-                            continue
-                        if int_on_segment(pw, a, b):
-                            ok = False
-                            break
-            if ok:
-                # new point may not sit on an existing edge
-                for u, w in edges:
-                    if v in (u, w):
-                        continue
-                    if u in pos and w in pos and int_on_segment(pnew, pos[u], pos[w]):
-                        ok = False
-                        break
-            if ok:
-                pos[v] = pnew
-                usedx[lv].add(x)
-                r = rec(k + 1)
-                del pos[v]
-                usedx[lv].discard(x)
-                if r is not None:
-                    return r
-        return None
-
-    return rec(0), nodes
+def _sibling_cut(t: LevelTree) -> dict[int, int]:
+    """Interchangeable sibling subtrees (same parent, same leveled shape)
+    take increasing candidate indices: each maps to the sibling before it."""
+    groups: dict[tuple, list[int]] = {}
+    for v, p in enumerate(t.tree.parent):
+        if p is not None:
+            groups.setdefault((p, _subtree_shape(t.tree, t.phi, v)), []).append(v)
+    return {b: a for g in groups.values() for a, b in zip(g, g[1:])}
 
 
 def search_level_planar(t: LevelTree, grid_width: int,
@@ -277,9 +230,10 @@ def search_level_planar(t: LevelTree, grid_width: int,
     method "combinatorial" runs the per-level ordering oracle on the
     bend-subdivided tree: a negative answer is exact over the continuum
     (hence over every grid); a positive answer materializes a drawing
-    only when the tree is adjacent-level-only.  method "grid" is the
-    plain geometric backtracking.  "auto" tries the combinatorial oracle
-    first and falls back to the grid.
+    only when the tree is adjacent-level-only.  method "grid" runs the
+    placement search with vertex v on the points (x, phi(v)), x in 1..W,
+    under the square-symmetry and sibling-subtree cuts.  "auto" tries the
+    combinatorial oracle first and falls back to the grid.
     """
     counts = [len(vs) for vs in t.levels().values()]
     if max(counts) > grid_width:
@@ -313,14 +267,16 @@ def search_level_planar(t: LevelTree, grid_width: int,
                 LevelStatus.BudgetExceeded, nodes=nodes,
                 note="combinatorial oracle inconclusive for long edges")
 
-    try:
-        found, gnodes = _grid_search(t, grid_width, budget)
-    except BudgetExceeded:
+    rows = {lv: [(x, lv) for x in range(1, grid_width + 1)] for lv in set(t.phi)}
+    cand = [rows[lv] for lv in t.phi]
+    found, gnodes = _place(t.tree.preorder(), cand, [t.tree.edges()], budget,
+                           _square_symmetries(cand), _sibling_cut(t))
+    if gnodes > budget:
         return LevelSearchResult(LevelStatus.BudgetExceeded, nodes=budget)
     if found is None:
         return LevelSearchResult(LevelStatus.ExhaustedNone, nodes=nodes + gnodes,
                                  note=f"grid-relative (W={grid_width})")
-    ld = LevelDrawing(found)
+    ld = LevelDrawing({v: Fraction(p[0]) for v, p in enumerate(found)})
     rep = check_level_drawing(t, ld)
     assert rep.planar
     return LevelSearchResult(LevelStatus.Found, ld, nodes + gnodes)
@@ -507,22 +463,17 @@ class RegionSearchResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _subtree_shape(t: RootedTree, phi, v) -> tuple:
-    kids = sorted(_subtree_shape(t, phi, c) for c in t.children(v))
-    return (phi[v], tuple(kids))
-
-
 def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                grid: Sequence[Sequence[Point]],
                                budget: int = 500_000_000) -> RegionSearchResult:
-    """Exhaustive backtracking over per-region candidate placements.
+    """Exhaustive search over per-region candidate placements.
 
-    Forward checking: every half-placed edge keeps a bitmask domain for
-    its free endpoint, pruned against each newly fixed edge.  Symmetry
-    cuts (mirror grids, interchangeable sibling subtrees) only quotient
-    exact symmetries, so exhaustion over the reduced space is exhaustion
-    over the grid.  The verdict is grid-relative evidence, recorded as
-    such in the metadata.
+    Runs the forward-checking placement search with vertex v on the
+    candidates of region phi(v).  Its cuts (square symmetries of the
+    candidates, interchangeable sibling subtrees) only quotient exact
+    symmetries, so exhaustion over the reduced space is exhaustion over
+    the grid.  The verdict is grid-relative evidence, recorded as such
+    in the metadata.
     """
     rep = validate_region_system(rs)
     if not rep.valid:
@@ -539,11 +490,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             if not (val < hi and (lo is None or val > lo)):
                 raise ValueError(f"candidate {p} not strictly inside region {i + 1}")
 
-    n = t.tree.n
     phi = t.phi
-    parent = t.tree.parent
     edges = t.tree.edges()
-    cand = [list(grid[phi[v] - 1]) for v in range(n)]
 
     # flat-row reduction: when every region's candidates share one line
     # parallel to the system lines, any placement is a level drawing on
@@ -565,188 +513,25 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             return RegionSearchResult(RegionStatus.ExhaustedNoneOverGrid,
                                       nodes=onodes, metadata=meta)
 
-    # exact int coordinates for the hot loop
     flat = [p for pts in grid for p in pts]
     ic = dict(zip(flat, int_coords(flat)))
-    icand = [[ic[p] for p in c] for c in cand]
-
-    # mirror symmetry: reflection across the axis perpendicular to the
-    # lines' direction, valid only if it maps every region's candidate
-    # set onto itself
-    base = rs.lines[0]
-    d = Point(-base.B, base.A)
-    dd = d.dot(d)
-    svals = sorted({d.dot(p) for pts in grid for p in pts})
-    c2 = svals[0] + svals[-1]
-    mirror_ok = True
-    for pts in grid:
-        pset = set(pts)
-        for p in pts:
-            f = (c2 - 2 * d.dot(p)) / dd
-            if Point(p.x + d.x * f, p.y + d.y * f) not in pset:
-                mirror_ok = False
-                break
-        if not mirror_ok:
-            break
-
-    # interchangeable sibling subtrees (same parent, same leveled shape):
-    # force increasing candidate index on their roots
-    shape_groups: dict[tuple, list[int]] = {}
-    for v in range(n):
-        if parent[v] is not None:
-            shape_groups.setdefault((parent[v], _subtree_shape(t.tree, phi, v)),
-                                    []).append(v)
-    must_precede: dict[int, int] = {}
-    for group in shape_groups.values():
-        for a, b in zip(group, group[1:]):
-            must_precede[b] = a
-
-    order = t.tree.preorder()
-
-    placed: dict[int, int] = {}  # vertex -> candidate index
-    nodes = 0
-    conflict_cache: dict[tuple, int] = {}
-
-    def edge_conflict_mask(a_pt, b_pt, anchor_pt, free_v):
-        """Bitmask of free_v's candidates q where segment(anchor, q)
-        conflicts with segment(a, b); also excludes q on segment(a, b)."""
-        key = (a_pt, b_pt, anchor_pt, phi[free_v])
-        m = conflict_cache.get(key)
-        if m is None:
-            m = 0
-            for idx, q in enumerate(icand[free_v]):
-                if q == anchor_pt:
-                    m |= 1 << idx
-                    continue
-                if (int_relation(a_pt, b_pt, anchor_pt, q) in _BAD
-                        or int_on_segment(q, a_pt, b_pt)):
-                    m |= 1 << idx
-            conflict_cache[key] = m
-        return m
-
-    full_masks = [(1 << len(cand[v])) - 1 for v in range(n)]
-    domains = list(full_masks)
-
-    # half-edges: for each vertex v (not yet placed), the list of (anchor)
-    # placed neighbours; recomputed on the fly via tree structure
-    neighbours: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-
-    found: Optional[dict] = None
-
-    def rec(k):
-        nonlocal nodes, found
-        if k == n:
-            found = dict(placed)
-            return True
-        v = order[k]
-        dom = domains[v]
-        # same-region injectivity (candidate grids are shared per region,
-        # so equal indices mean equal points)
-        for w, cw in placed.items():
-            if phi[w] == phi[v]:
-                dom &= ~(1 << cw)
-        pre = must_precede.get(v)
-        while dom:
-            ci = (dom & -dom).bit_length() - 1
-            dom &= dom - 1
-            if pre is not None and pre in placed and ci <= placed[pre]:
-                continue
-            if v == order[0] and mirror_ok:
-                # keep one mirror representative: first vertex in the
-                # lower half (or center) of its region's direction span
-                s = d.dot(cand[v][ci])
-                if 2 * s > c2:
-                    continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            pnew = icand[v][ci]
-            # fixed-edge checks vs the new edges ending at v
-            ok = True
-            new_edges = [(u, v) for u in neighbours[v] if u in placed]
-            for u, _ in new_edges:
-                a = icand[u][placed[u]]
-                for e0, e1 in edges:
-                    if e0 in placed and e1 in placed and v not in (e0, e1):
-                        if int_relation(a, pnew, icand[e0][placed[e0]],
-                                        icand[e1][placed[e1]]) in _BAD:
-                            ok = False
-                            break
-                if not ok:
-                    break
-                for w, cw in placed.items():
-                    if w in (u, v):
-                        continue
-                    if int_on_segment(icand[w][cw], a, pnew):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                for e0, e1 in edges:
-                    if e0 in placed and e1 in placed and v not in (e0, e1):
-                        if int_on_segment(pnew, icand[e0][placed[e0]],
-                                          icand[e1][placed[e1]]):
-                            ok = False
-                            break
-            if not ok:
-                continue
-            # forward check: prune half-placed edges' free endpoints
-            # against the new fixed edges
-            trail = []
-            dead = False
-            for u, _ in new_edges:
-                a = icand[u][placed[u]]
-                for w in range(n):
-                    if w in placed or w == v:
-                        continue
-                    anchors = [x for x in neighbours[w] if x in placed or x == v]
-                    if not anchors:
-                        continue
-                    for x in anchors:
-                        xp = pnew if x == v else icand[x][placed[x]]
-                        if {x, w} == {u, v}:
-                            continue
-                        m = edge_conflict_mask(a, pnew, xp, w)
-                        if domains[w] & m:
-                            trail.append((w, domains[w]))
-                            domains[w] &= ~m
-                        if domains[w] == 0:
-                            dead = True
-                            break
-                    if dead:
-                        break
-                if dead:
-                    break
-            if not dead:
-                placed[v] = ci
-                r = rec(k + 1)
-                del placed[v]
-                if r:
-                    for w, old in reversed(trail):
-                        domains[w] = old
-                    return True
-            for w, old in reversed(trail):
-                domains[w] = old
-        return False
-
+    icand = [[ic[p] for p in pts] for pts in grid]
+    cand = [icand[lv - 1] for lv in phi]
+    syms = _square_symmetries(cand)
+    after = _sibling_cut(t)
     meta = {"per_region_candidates": [len(c) for c in grid],
-            "mirror_symmetry": mirror_ok,
-            "sibling_cuts": len(must_precede)}
-    try:
-        ok = rec(0)
-    except BudgetExceeded:
+            "square_symmetries": len(syms), "sibling_cuts": len(after)}
+    found, nodes = _place(t.tree.preorder(), cand, [edges], budget, syms, after)
+    if nodes > budget:
         return RegionSearchResult(RegionStatus.BudgetExceeded, nodes=nodes,
                                   metadata=meta)
     meta["nodes"] = nodes
-    if not ok:
+    if found is None:
         meta["claim"] = "no placement over the supplied grid (not a continuum proof)"
         return RegionSearchResult(RegionStatus.ExhaustedNoneOverGrid,
                                   nodes=nodes, metadata=meta)
-    drawing = Drawing({v: cand[v][ci] for v, ci in found.items()})
+    to_point = {q: p for p, q in ic.items()}
+    drawing = Drawing({v: to_point[q] for v, q in enumerate(found)})
     rep = check_drawing(edges, drawing)
     assert rep.planar
     return RegionSearchResult(RegionStatus.Found, drawing, nodes, meta)
@@ -785,7 +570,10 @@ def load_level_tree(text: str):
         elif tag == "phi":
             phi = [int(tok) for tok in rest.split()]
         elif tag == "lines":
-            a, b, c = (Fraction(tok) for tok in rest.split())
+            try:
+                a, b, c = (Fraction(tok) for tok in rest.split())
+            except ZeroDivisionError:
+                raise FormatError(f"zero denominator in {ln!r}") from None
             region_lines.append(Line(a, b, c))
         else:
             raise FormatError(f"unknown record {tag!r}")

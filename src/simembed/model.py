@@ -211,7 +211,8 @@ def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
             raise FormatError(f"unknown record {tag!r}")
     if parent is None or order is None:
         raise FormatError("tree and path records are required")
-    if len(parent) != n or len(order) != n:
+    if len(parent) != n or len(order) != n or (labels is not None
+                                               and len(labels) != n):
         raise FormatError("record length disagrees with header")
     if set(order) != set(range(n)):
         raise FormatError("path record must list each vertex 0..n-1 once")

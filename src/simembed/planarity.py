@@ -78,9 +78,12 @@ def check_simultaneous(i: Instance, d: Drawing):
     rep = validate_instance(i)
     if not rep.valid:
         raise PlanarityError("invalid instance: " + "; ".join(rep.violations))
-    missing = set(range(i.tree.n)) - set(d.pos)
-    if missing:
-        raise UndrawnVertex(f"vertices not drawn: {sorted(missing)}")
+    drawn, vertices = set(d.pos), set(range(i.tree.n))
+    if vertices - drawn:
+        raise UndrawnVertex(f"vertices not drawn: {sorted(vertices - drawn)}")
+    if drawn - vertices:
+        raise PlanarityError(f"drawing names vertices outside 0..{i.tree.n - 1}:"
+                             f" {sorted(drawn - vertices)}")
     return (check_drawing(i.tree.edges(), d),
             check_drawing(i.path.edges(), d))
 
@@ -98,23 +101,179 @@ class SearchResult:
     nodes: int = 0
 
 
-def _bfs_order(tree) -> list[int]:
-    order, queue = [], [tree.root]
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        queue.extend(tree.children(v))
-    return order
+class BudgetExceeded(Exception):
+    pass
+
+
+# the 7 non-identity symmetries of a square about its centre, each as the
+# integer matrix (a, b, c, d) taking (u, w) to (a u + b w, c u + d w)
+_SQUARE = ((-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1), (0, 1, 1, 0),
+           (0, -1, -1, 0), (0, -1, 1, 0), (0, 1, -1, 0))
+
+
+def _square_symmetries(cand) -> list[dict]:
+    """Those non-identity symmetries of the candidates' bounding-box square
+    that map every vertex's candidate list onto itself, each as a map from
+    point to image.  They carry valid placements to valid placements."""
+    lists = list({id(c): c for c in cand}.values())
+    pts = {p for c in lists for p in c}
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    cx = min(xs, default=0) + max(xs, default=0)
+    cy = min(ys, default=0) + max(ys, default=0)
+    # doubled coordinates about the centre, so the maps stay integral
+    back = {(2 * x - cx, 2 * y - cy): (x, y) for x, y in pts}
+    out = []
+    for a, b, c, d in _SQUARE:
+        img = {p: back.get((a * u + b * w, c * u + d * w))
+               for (u, w), p in back.items()}
+        if all({img[p] for p in c} == set(c) for c in lists):
+            out.append(img)
+    return out
+
+
+def _blocked(q, p, ends, segs) -> bool:
+    """Whether an unplaced vertex can no longer take q once a vertex is
+    placed at p: q is p, or on a new edge from p to one of `ends`, or one
+    of its segments (s, edges, points) meets an edge other than at a
+    shared endpoint or passes through a point."""
+    if q == p:
+        return True
+    for a in ends:
+        if int_on_segment(q, a, p):
+            return True
+    for s, edges, points in segs:
+        if q == s:
+            return True
+        for e, f in edges:
+            if int_relation(s, q, e, f) in _BAD:
+                return True
+        for r in points:
+            if int_on_segment(r, s, q):
+                return True
+    return False
+
+
+def _place(order, cand, graphs, budget, syms=(), after=None):
+    """Forward-checking backtracking over vertex-to-candidate maps.
+
+    Vertex v takes one of the integer points cand[v], vertices in the
+    given order.  Edges of one graph may not meet other than at a shared
+    endpoint; edges of different graphs may cross; no vertex may lie on
+    an edge of any graph it is not an endpoint of.  Each unplaced vertex
+    keeps a bitmask domain: placing a vertex removes from every domain
+    its point, the points on its new edges, and the points whose edges
+    to placed neighbours would meet a placed edge of their graph or a
+    placed vertex.  A point taken from a domain is therefore consistent
+    with the whole placement so far, and an emptied domain backtracks
+    (Haralick and Elliott, 1980).
+
+    Cuts, each sound for the searches that pass it: order[0] takes only
+    the first point of its list in each orbit of `syms`, a group of
+    symmetries of the candidates; a vertex v in `after` takes a larger
+    index in its list than vertex after[v], placed before it in the same
+    list.
+
+    Returns (points per vertex or None, nodes); nodes > budget means the
+    budget ran out.
+    """
+    n = len(order)
+    after = after or {}
+    nbrs = [[[] for _ in range(n)] for _ in graphs]
+    for g, es in enumerate(graphs):
+        for u, v in es:
+            nbrs[g][u].append(v)
+            nbrs[g][v].append(u)
+    pos: list = [None] * n
+    idx = [0] * n
+    fixed: list[list] = [[] for _ in graphs]  # placed edges per graph
+    dom = [(1 << len(c)) - 1 for c in cand]
+    root = order[0]
+    at = {p: i for i, p in enumerate(cand[root])}
+    dom[root] = sum(1 << i for i, p in enumerate(cand[root])
+                    if all(i <= at[s[p]] for s in syms))
+    nodes = 0
+
+    def prune(v, p):
+        # place v at p; return the domains to restore and the new edges,
+        # or None (and undo the placement) when some domain empties
+        pos[v] = p
+        new = [(g, pos[x]) for g, nb in enumerate(nbrs) for x in nb[v]
+               if pos[x] is not None]
+        ends = [a for _, a in new]
+        others = [q for q in pos if q is not None and q != p]
+        saved = []
+        for w in range(n):
+            if pos[w] is not None:
+                continue
+            # segments from w's placed neighbours, each with the edges and
+            # points it must avoid (an edge at p is covered by `ends` and
+            # `others`)
+            segs = [(p, fixed[g], others) if y == v else
+                    (pos[y], [(a, p) for h, a in new if h == g], (p,))
+                    for g, nb in enumerate(nbrs) for y in nb[w]
+                    if pos[y] is not None]
+            c, d, keep = cand[w], dom[w], dom[w]
+            while d:
+                bit = d & -d
+                d ^= bit
+                if _blocked(c[bit.bit_length() - 1], p, ends, segs):
+                    keep ^= bit
+            if keep != dom[w]:
+                saved.append((w, dom[w]))
+                dom[w] = keep
+                if not keep:
+                    undo(v, saved, ())
+                    return None
+        for g, a in new:
+            fixed[g].append((a, p))
+        return saved, new
+
+    def undo(v, saved, new):
+        for w, d in saved:
+            dom[w] = d
+        for g, _ in new:
+            fixed[g].pop()
+        pos[v] = None
+
+    def rec(k):
+        nonlocal nodes
+        if k == n:
+            return True
+        v = order[k]
+        d = dom[v]
+        if v in after:
+            d &= -2 << idx[after[v]]
+        while d:
+            i = (d & -d).bit_length() - 1
+            d &= d - 1
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded
+            step = prune(v, cand[v][i])
+            if step is None:
+                continue
+            idx[v] = i
+            if rec(k + 1):
+                return True
+            undo(v, *step)
+        return False
+
+    try:
+        return (pos if rec(0) else None), nodes
+    except BudgetExceeded:
+        return None, nodes
 
 
 def search_embedding(i: Instance, candidate_points: Sequence[Point],
                      budget: int = 10**7) -> SearchResult:
-    """Exhaustive backtracking over vertex-to-point assignments.
+    """Exhaustive search over injective vertex-to-point assignments.
 
-    Vertices are placed in tree-BFS order; a partial placement is pruned
-    as soon as either graph shows a violation among its completed edges.
-    Deterministic: candidates tried in lexicographic order, so the first
-    drawing found is the least one under that exploration order.
+    Runs the forward-checking placement search on tree and path together,
+    vertices in tree preorder, candidates in lexicographic order, so the
+    first drawing found is the least one under that exploration order.
+    The one symmetry cut keeps the root to one point per orbit of the
+    symmetries of the candidates' bounding-box square that map the
+    candidate set onto itself, so ProvedNone holds for the whole set.
     """
     rep = validate_instance(i)
     if not rep.valid:
@@ -124,87 +283,17 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
     if len(pts) < n:
         return SearchResult(SearchStatus.ProvedNone)
 
-    order = _bfs_order(i.tree)
-    rank = {v: k for k, v in enumerate(order)}
-    tree_edges = [tuple(sorted((u, v), key=rank.get)) for u, v in i.tree.edges()]
-    path_edges = [tuple(sorted((u, v), key=rank.get)) for u, v in i.path.edges()]
-    # edges grouped by the later-placed endpoint, per graph
-    closing: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(n)}
-    for g, es in enumerate((tree_edges, path_edges)):
-        for u, v in es:
-            closing[v].append((g, u, v))
-
     ipts = int_coords(pts)
     to_point = dict(zip(ipts, pts))
-
-    # symmetry reduction: first vertex pinned to the least candidate;
-    # second kept weakly above it when the candidate set is mirror-symmetric
-    # about that horizontal axis (otherwise the cut would lose completeness)
-    y0 = ipts[0][1]
-    mirrored = {(x, 2 * y0 - y) for x, y in ipts} == set(ipts)
-
-    pos: dict[int, tuple[int, int]] = {}
-    used: set[tuple[int, int]] = set()
-    nodes = 0
-    done_edges: list[list[tuple[int, int]]] = [[], []]  # per graph
-
-    def ok(v: tuple[int, int], placed_v: int) -> bool:
-        # check the newly completed edges against prior ones (and against
-        # each other), plus vertex-on-edge both ways
-        fresh: list[list[tuple[int, int]]] = [[], []]
-        for g, a, b in closing[placed_v]:
-            pa, pb = pos[a], v
-            for (u, w) in done_edges[g] + fresh[g]:
-                pu = pos[u] if u != placed_v else v
-                pw = pos[w] if w != placed_v else v
-                if int_relation(pa, pb, pu, pw) in _BAD:
-                    return False
-            fresh[g].append((a, b))
-        # vertex-on-edge: new point vs all done edges; new edges vs all points
-        for g in (0, 1):
-            for (u, w) in done_edges[g]:
-                if placed_v not in (u, w) and int_on_segment(v, pos[u], pos[w]):
-                    return False
-        for g, a, b in closing[placed_v]:
-            for w, pw in pos.items():
-                if w not in (a, placed_v) and int_on_segment(pw, pos[a], v):
-                    return False
-        return True
-
-    def rec(k: int) -> Optional[SearchResult]:
-        nonlocal nodes
-        if k == n:
-            d = Drawing({w: to_point[p] for w, p in pos.items()})
-            tr, pr = check_simultaneous(i, d)
-            assert tr.planar and pr.planar
-            return SearchResult(SearchStatus.Found, d, nodes)
-        v = order[k]
-        for p in ipts:
-            if p in used:
-                continue
-            if k == 0 and p != ipts[0]:
-                break
-            if k == 1 and mirrored and p[1] < y0:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return SearchResult(SearchStatus.BudgetExceeded, None, nodes)
-            if not ok(p, v):
-                continue
-            pos[v] = p
-            used.add(p)
-            for g, a, b in closing[v]:
-                done_edges[g].append((a, b))
-            res = rec(k + 1)
-            for g, a, b in closing[v]:
-                done_edges[g].pop()
-            used.discard(p)
-            del pos[v]
-            if res is not None:
-                return res
-        return None
-
-    res = rec(0)
-    if res is None:
+    cand = [ipts] * n
+    found, nodes = _place(i.tree.preorder(), cand,
+                          [i.tree.edges(), i.path.edges()], budget,
+                          _square_symmetries(cand))
+    if nodes > budget:
+        return SearchResult(SearchStatus.BudgetExceeded, None, nodes)
+    if found is None:
         return SearchResult(SearchStatus.ProvedNone, None, nodes)
-    return res
+    d = Drawing({v: to_point[p] for v, p in enumerate(found)})
+    tr, pr = check_simultaneous(i, d)
+    assert tr.planar and pr.planar
+    return SearchResult(SearchStatus.Found, d, nodes)

@@ -161,6 +161,20 @@ class TestLevelSearch:
         rec = json.loads(capsys.readouterr().out)
         assert rec["status"] == "Found"
 
+    def test_region_metadata_records_are_json_values(self, tmp_path, capsys):
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 0]), (1, 2, 2))
+        slt = tmp_path / "r.slt"
+        slt.write_text(dump_level_tree(lt, RegionSystem.horizontal([0, 1])))
+        assert main(["level-search", str(slt), "--grid", "3",
+                     "--format", "records"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        # a 3x3 grid per region: mirror symmetric across x only; the two
+        # leaves are interchangeable siblings
+        assert meta["per_region_candidates"] == [9, 9]
+        assert meta["square_symmetries"] == 1
+        assert meta["sibling_cuts"] == 1
+        assert isinstance(meta["nodes"], int)
+
     def test_budget_exceeded(self, tmp_path):
         lt = LevelTree.of(RootedTree.from_parent(GADGET_PARENT),
                           (1, 2, 2, 2, 1, 1, 1, 1, 3, 4))
@@ -308,4 +322,26 @@ class TestUsageErrors:
         sge = tmp_path / "a.sge"
         sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 7\n")
         assert main(["embed-depth2", str(sge)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_zero_denominator_in_lines(self, tmp_path, capsys):
+        slt = tmp_path / "r.slt"
+        slt.write_text("slt 1 2 2\ntree - 0\nphi 1 2\nlines 0 1 1/0\n")
+        assert main(["level-search", str(slt)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_roles_length_mismatch(self, tmp_path, capsys):
+        sge = tmp_path / "a.sge"
+        sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 2\nroles R\n")
+        sgd = tmp_path / "d.sgd"
+        sgd.write_text("sgd 1 3\n0 0 0\n1 1 0\n2 0 1\n")
+        assert main(["check", str(sge), str(sgd)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_drawing_vertex_outside_instance(self, tmp_path, capsys):
+        sge = tmp_path / "a.sge"
+        sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 2\n")
+        sgd = tmp_path / "d.sgd"
+        sgd.write_text("sgd 1 4\n0 0 0\n1 1 0\n2 0 1\n7 1 1\n")
+        assert main(["check", str(sge), str(sgd)]) == 2
         self.assert_one_error_line(capsys)

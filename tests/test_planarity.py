@@ -186,13 +186,25 @@ class TestSearchEmbedding:
         res = search_embedding(inst, [P(0, 0), P(1, 0)])
         assert res.status is SearchStatus.ProvedNone
 
-    def test_collinear_points_unusable(self):
-        # a star K1,2 with its path needs a non-collinear triple
+    def test_collinear_points_usable(self):
+        # a star K1,2 with its root between two collinear leaves: the two
+        # edges meet only at the shared endpoint, which check_drawing allows
         t = RootedTree.from_parent([None, 0, 0])
         inst = Instance(t, PathGraph.of([1, 0, 2]))
         pts = [P(x, 0) for x in range(3)]
         res = search_embedding(inst, pts)
-        assert res.status is SearchStatus.ProvedNone
+        assert res.status is SearchStatus.Found
+        assert res.drawing.pos[0] == P(1, 0)
+
+    def test_root_not_pinned_to_least_point(self):
+        # K1,3 with path 1 0 2 3: a root on the least candidate (0, 0) has
+        # a leaf edge through (1, 0), yet a root at (1, 0) works
+        t = RootedTree.from_parent([None, 0, 0, 0])
+        inst = Instance(t, PathGraph.of([1, 0, 2, 3]))
+        pts = [P(0, 0), P(1, 0), P(2, 0), P(1, 1)]
+        res = search_embedding(inst, pts)
+        assert res.status is SearchStatus.Found
+        assert res.drawing.pos[0] != P(0, 0)
 
     def test_star4_on_grid_oracle(self):
         t = RootedTree.from_parent([None, 0, 0, 0, 0])
@@ -210,13 +222,13 @@ class TestSearchEmbedding:
         res = search_embedding(inst, pts, budget=3)
         assert res.status is SearchStatus.BudgetExceeded
 
-    def test_monotone_none_on_subset(self):
-        # if no drawing exists on S, none exists on subsets of S
+    def test_monotone_found_on_superset(self):
+        # a drawing on a subset of S is a drawing on S
         t = RootedTree.from_parent([None, 0, 0])
         inst = Instance(t, PathGraph.of([1, 0, 2]))
         pts = [P(x, 0) for x in range(5)]
-        assert search_embedding(inst, pts).status is SearchStatus.ProvedNone
-        assert search_embedding(inst, pts[:3]).status is SearchStatus.ProvedNone
+        assert search_embedding(inst, pts[:3]).status is SearchStatus.Found
+        assert search_embedding(inst, pts).status is SearchStatus.Found
 
     def test_deterministic(self):
         t = RootedTree.from_parent([None, 0, 0, 1])
