@@ -18,6 +18,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .geom import (
+    _closest_point_on_segment,
+    _features,
     _on_closed_segment,
     Point,
     Position,
@@ -458,20 +460,11 @@ def _ray_ray_hit(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
     return t >= 0 and s >= 0
 
 
-def _border_edges(seg: ChannelSegment):
-    pts = seg.vertices
-    if len(pts) > 2:
-        return list(zip(pts, pts[1:] + pts[:1]))
-    if len(pts) == 2:
-        return [(pts[0], pts[1])]
-    return []
-
-
 def _segment_hits_region(ch: Channel, e: Segment, seg: ChannelSegment) -> bool:
     if segment_contains(ch, seg, e.a) or segment_contains(ch, seg, e.b):
         return True
-    for p, q in _border_edges(seg):
-        if segment_relation(e, Segment(p, q)) is Relation.ProperCrossing:
+    for s in _features(seg.vertices):
+        if segment_relation(e, s) is Relation.ProperCrossing:
             return True
     for origin, direction in (seg.rays or ()):
         if _ray_segment_hit(origin, direction, e):
@@ -483,8 +476,8 @@ def _ray_hits_region(ch: Channel, origin: Point, direction: Point,
                      seg: ChannelSegment) -> bool:
     if segment_contains(ch, seg, origin):
         return True
-    for p, q in _border_edges(seg):
-        if _ray_segment_hit(origin, direction, Segment(p, q)):
+    for s in _features(seg.vertices):
+        if _ray_segment_hit(origin, direction, s):
             return True
     for o2, d2 in (seg.rays or ()):
         if _ray_ray_hit(origin, direction, o2, d2):
@@ -580,7 +573,7 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                 gate = ch.gates[h - 1]
                 mid = Point((gate[0].x + gate[1].x) / 2,
                             (gate[0].y + gate[1].y) / 2)
-                near = _closest_on(e, mid)
+                near = _closest_point_on_segment(mid, e)
                 dist = (near - mid).dot(near - mid)
                 group = (ch.joint, h, owner.get(u, owner.get(v)))
                 doubles.append((group, dist, CutEvent(kind, (u, v),
@@ -594,13 +587,6 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                                extremal=(dist == best[group])))
     events.sort(key=lambda ev: (ev.kind.value, ev.edge, ev.channel, ev.segments))
     return events
-
-
-def _closest_on(s: Segment, p: Point) -> Point:
-    dvec = s.b - s.a
-    t = (p - s.a).dot(dvec) / dvec.dot(dvec)
-    t = 0 if t < 0 else (1 if t > 1 else t)
-    return Point(s.a.x + t * dvec.x, s.a.y + t * dvec.y)
 
 
 # --- connections ----------------------------------------------------------

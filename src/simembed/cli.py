@@ -26,9 +26,7 @@ from .analyzer import (
     enumerate_doors,
 )
 from .counterexample import (
-    CapExceeded,
     CounterexampleParams,
-    InvalidParams,
     ScaleMode,
     SequencePlan,
     build_instance,
@@ -44,7 +42,6 @@ from .leveltree import (
     search_region_level_planar,
 )
 from .model import (
-    FormatError,
     Role,
     dump_drawing,
     dump_instance,
@@ -55,7 +52,6 @@ from .model import (
 )
 from .planarity import (
     SearchStatus,
-    UndrawnVertex,
     check_simultaneous,
     search_embedding,
 )
@@ -85,9 +81,6 @@ def _fmt(x) -> str:
 
 
 def render_svg(i, d, style: RenderStyle = RenderStyle()) -> str:
-    for v in range(i.tree.n):
-        if v not in d.pos:
-            raise UndrawnVertex(f"vertex {v} is not drawn")
     pts = [d.point(v) for v in range(i.tree.n)]
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
@@ -427,8 +420,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InvalidParams, CapExceeded, UndrawnVertex,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

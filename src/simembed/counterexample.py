@@ -16,7 +16,8 @@ from enum import Enum
 from math import comb, ceil
 from typing import Optional
 
-from .model import Instance, PathGraph, Role, RootedTree, ValidationReport
+from .model import (FormatError, Instance, PathGraph, Role, RootedTree,
+                    ValidationReport)
 
 
 class InvalidParams(ValueError):
@@ -47,7 +48,6 @@ class CounterexampleParams:
     s: int                      # branches per cell set = cells per set
     x: int                      # 4-tuples per EF tuple
     y: int                      # EF repetition count, divisible by x
-    joints: Optional[int] = None  # defaults to R3 * 4 * x
     formation_reps: int = PAPER_R1
     formation_outer: int = PAPER_R2
     sef_tuple: int = PAPER_R3
@@ -72,10 +72,6 @@ class CounterexampleParams:
             raise InvalidParams("sef_reps must be divisible by sef_tuple")
         if self.sef_efs < self.efs_needed_per_tuple():
             raise InvalidParams("sef_efs smaller than the schedule demands")
-        q = self.joint_count()
-        if self.joints is not None and self.joints != q:
-            raise InvalidParams(
-                f"SEF spans exactly {q} joints (sef_tuple * 4 * x)")
 
     def joint_count(self) -> int:
         return self.sef_tuple * 4 * self.x
@@ -115,17 +111,22 @@ class CellLayout:
     def path_order(self) -> list[int]:
         """Vertex order inside the cell: head 1-vertex, head 2- then
         3-vertices each followed by a tail 1-vertex, tail 2- then
-        3-vertices each followed by a stabilizer."""
+        3-vertices each followed by a stabilizer.  ValueError when a
+        follower list does not match the list it interleaves."""
         seq = [self.head_1vertex]
-        tail1 = iter(self.tail_1vertices)
-        for v in self.head_2vertices + self.head_3vertices:
-            seq.append(v)
-            seq.append(next(tail1))
-        stab = iter(self.stabilizers)
-        for v in self.tail_2vertices + self.tail_3vertices:
-            seq.append(v)
-            seq.append(next(stab))
+        for pair in zip(self.head_2vertices + self.head_3vertices,
+                        self.tail_1vertices, strict=True):
+            seq += pair
+        for pair in zip(self.tail_2vertices + self.tail_3vertices,
+                        self.stabilizers, strict=True):
+            seq += pair
         return seq
+
+
+def _ids(xs, below=float("inf")) -> bool:
+    """xs is a list of ints, each in 0..below-1."""
+    return isinstance(xs, list) and all(
+        type(x) is int and 0 <= x < below for x in xs)
 
 
 @dataclass
@@ -147,12 +148,20 @@ class SequencePlan:
 
     @staticmethod
     def from_json(text: str) -> "SequencePlan":
-        raw = json.loads(text)
-        plan = SequencePlan(raw["s"])
-        plan.cells = [CellLayout(**c) for c in raw["cells"]]
-        plan.formations = raw["formations"]
-        plan.efs = raw["efs"]
-        plan.sef = raw["sef"]
+        """Parse a .plan; a missing key or a wrong shape is a FormatError."""
+        try:
+            raw = json.loads(text)
+            plan = SequencePlan(raw["s"], [CellLayout(**c) for c in raw["cells"]],
+                                raw["formations"], raw["efs"], raw["sef"])
+            ok = (_ids([plan.params_s]) and isinstance(plan.sef, dict) and all(
+                _ids(c.path_order() + [c.joint, c.index]) for c in plan.cells)
+                and all(_ids(f["cells"], len(plan.cells)) for f in plan.formations)
+                and all(_ids(e["formations"], len(plan.formations))
+                        for e in plan.efs))
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"malformed plan: {e!r}") from None
+        if not ok:
+            raise FormatError("malformed plan: a value is not a valid id")
         return plan
 
 

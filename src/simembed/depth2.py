@@ -1,7 +1,7 @@
 """Constructive simultaneous embedding of a depth-2 tree with any path.
 
 The root goes to the origin and each root subtree into its own wedge
-between a ray into the first quadrant and one into the fourth.  The two
+of integer slopes, the wedges stacked one below the other.  The two
 subpaths leaving the root are laid out x-monotonically, one after the
 other, and the long closing edge from the root runs along the convex
 hull underneath everything else.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 
 from .geom import Point
@@ -78,7 +77,7 @@ def plan_depth2(i: Instance) -> WedgePlan:
             + ([last] if last is not None else [])
     wedge_of_child = {c: j for j, c in enumerate(ordered)}
     assignment = {w: wedge_of_child[c] for w, c in top.items()}
-    wedges = tuple((Fraction(t - 2 * (j + 1), t), Fraction(t - 2 * j, t))
+    wedges = tuple(((t - 2 * j - 2) * t_.n, (t - 2 * j - 1) * t_.n)
                    for j in range(t))
     return WedgePlan(t, wedges, assignment, ranks, u, v)
 
@@ -86,18 +85,18 @@ def plan_depth2(i: Instance) -> WedgePlan:
 def embed_depth2(i: Instance) -> Drawing:
     """Place rank k at x = k on a strictly concave curve inside its wedge.
 
-    The slope of a rank-k vertex in a wedge (lo, hi) is
-    lo + (hi - lo) * (1/2 + 1/(2(k+1))): strictly inside the wedge and
-    strictly decreasing in k, so each wedge's points are in strictly
-    convex position (no three collinear) and the final path vertex is the
-    unique lowest-slope point, putting the closing root edge on the hull.
+    A wedge (lo, hi) spans n integer slopes, more than any rank, and rank
+    k goes to (k, (hi - k)k): its slope hi - k is strictly inside the
+    wedge and strictly decreasing in k, so each wedge's points lie on the
+    strictly concave parabola y = hi*x - x^2 (no three collinear) and the
+    final path vertex is the unique lowest-slope point, putting the
+    closing root edge on the hull.  Integer coordinates, below n^3.
     """
     plan = plan_depth2(i)
     pos = {i.tree.root: Point(0, 0)}
     for w, k in plan.ranks.items():
-        lo, hi = plan.wedges[plan.assignment[w]]
-        slope = lo + (hi - lo) * (Fraction(1, 2) + Fraction(1, 2 * (k + 1)))
-        pos[w] = Point(Fraction(k), Fraction(k) * slope)
+        hi = plan.wedges[plan.assignment[w]][1]
+        pos[w] = Point(k, (hi - k) * k)
     return Drawing(pos)
 
 

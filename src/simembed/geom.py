@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 
@@ -307,15 +306,11 @@ def _hulls_intersect(h1: Sequence[Point], h2: Sequence[Point]) -> bool:
     for p in h2:
         if point_in_convex_polygon(p, h1) is not Position.Outside:
             return True
-    if len(h1) >= 2 and len(h2) >= 2:
-        e1 = [Segment(h1[i], h1[(i + 1) % len(h1)]) for i in range(len(h1))] \
-            if len(h1) > 2 else [Segment(h1[0], h1[1])]
-        e2 = [Segment(h2[i], h2[(i + 1) % len(h2)]) for i in range(len(h2))] \
-            if len(h2) > 2 else [Segment(h2[0], h2[1])]
-        for s in e1:
-            for t in e2:
-                if segment_relation(s, t) is not Relation.Disjoint:
-                    return True
+    e2 = _features(h2)
+    for s in _features(h1):
+        for t in e2:
+            if segment_relation(s, t) is not Relation.Disjoint:
+                return True
     return False
 
 

@@ -18,7 +18,7 @@ from itertools import permutations, product
 from typing import Optional, Sequence
 
 from .geom import Line, Point, int_coords
-from .model import Drawing, RootedTree, ValidationReport
+from .model import Drawing, FormatError, RootedTree, ValidationReport
 from .planarity import (
     BudgetExceeded,
     CrossingReport,
@@ -552,8 +552,6 @@ def dump_level_tree(t: LevelTree, rs: Optional[RegionSystem] = None) -> str:
 
 def load_level_tree(text: str):
     """Parse an .slt document into (LevelTree, Optional[RegionSystem])."""
-    from .model import FormatError
-
     rows = [ln.strip() for ln in text.splitlines()
             if ln.strip() and not ln.strip().startswith("#")]
     if not rows or not rows[0].startswith("slt 1 "):
@@ -582,7 +580,7 @@ def load_level_tree(text: str):
     if len(parent) != n or len(phi) != n:
         raise FormatError("record length disagrees with header")
     lt = LevelTree.of(RootedTree.from_parent(parent), phi)
-    if lt.k != k:
-        raise FormatError("level count disagrees with header")
+    if lt.k != k or len(region_lines) not in (0, k):
+        raise FormatError("level or lines count disagrees with header")
     rs = RegionSystem.of(region_lines) if region_lines else None
     return lt, rs

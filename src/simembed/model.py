@@ -131,6 +131,8 @@ class Drawing:
             raise FormatError("drawing is not injective")
 
     def point(self, v: VertexId) -> Point:
+        if v not in self.pos:
+            raise FormatError(f"vertex {v} is not drawn")
         return self.pos[v]
 
 

@@ -6,11 +6,18 @@ from the documented contracts (0 clean, 1 violation, 2 usage error,
 expected value is copied from program output.
 """
 
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simembed.cli import main, render_svg, RenderStyle
+from simembed.counterexample import CellLayout, SequencePlan
 from simembed.geom import Point
 from simembed.leveltree import (
     LevelTree,
@@ -23,6 +30,7 @@ from simembed.model import (
     FormatError,
     Instance,
     PathGraph,
+    Role,
     RootedTree,
     dump_drawing,
     dump_instance,
@@ -30,9 +38,12 @@ from simembed.model import (
     load_instance,
 )
 
-from test_analyzer import passage_witness
+from test_analyzer import CHAIN_ORDER, CHAIN_PARENT, passage_witness, zigzag_witness
 
 GADGET_PARENT = [None, 0, 0, 0, 1, 2, 3, 1, 2, 3]
+# the passage witness's plan with a key that CellLayout does not have
+UNKNOWN_KEY_PLAN = passage_witness()[2].to_json().replace(
+    '"joint":', '"colour":0,"joint":', 1)
 
 
 def depth2_instance():
@@ -345,3 +356,130 @@ class TestUsageErrors:
         sgd.write_text("sgd 1 4\n0 0 0\n1 1 0\n2 0 1\n7 1 1\n")
         assert main(["check", str(sge), str(sgd)]) == 2
         self.assert_one_error_line(capsys)
+
+    def test_lines_count_differs_from_levels(self, tmp_path, capsys):
+        # two levels but one region line: region 2 would have no line
+        slt = tmp_path / "r.slt"
+        slt.write_text("slt 1 2 2\ntree - 0\nphi 1 2\nlines 0 1 0\n")
+        assert main(["level-search", str(slt)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("plan", ['{"cells": 3}', "[]", UNKNOWN_KEY_PLAN],
+                             ids=["no-s-key", "list", "unknown-cell-key"])
+    def test_malformed_plan(self, tmp_path, capsys, plan):
+        inst, d, _ = passage_witness()
+        sge = write_instance(tmp_path, inst)
+        sgd = tmp_path / "w.sgd"
+        sgd.write_text(dump_drawing(d))
+        pln = tmp_path / "w.plan"
+        pln.write_text(plan)
+        assert main(["analyze", sge, str(pln), str(sgd)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_analyze_drawing_misses_a_vertex(self, tmp_path, capsys):
+        # the channel witness with its root drawn under the id 11, so the
+        # channel's root-leaf paths cannot be drawn
+        files = dict(SCENARIOS["channels"][1])
+        files["sgd"] = files["sgd"].replace("\n0 ", "\n11 ", 1)
+        paths = []
+        for k in ("sge", "plan", "sgd"):
+            paths.append(str(tmp_path / f"w.{k}"))
+            (tmp_path / f"w.{k}").write_text(files[k])
+        assert main(["analyze", *paths]) == 2
+        self.assert_one_error_line(capsys)
+
+
+# --- malformed-input fuzzing -------------------------------------------------
+#
+# Small valid documents of all four formats, each mutated by deleting,
+# duplicating or replacing one line or one token.  Whatever the mutation,
+# the command must return an exit code, and exit 2 must come with exactly
+# one "error:" line on stderr.
+
+def _channel_scenario():
+    # the zigzag channel witness with roles, so that analyze also computes
+    # channels, cuts and connections, and a plan whose one EF owns a cell
+    _, d = zigzag_witness()
+    roles = [Role.Root, Role.Joint, Role.Joint, Role.Joint] + [Role.Other] * 7
+    tree = RootedTree.from_parent(CHAIN_PARENT, roles)
+    plan = SequencePlan(2, cells=[CellLayout(joint=2, index=0, head_1vertex=10)],
+                        formations=[{"joints": [1, 2, 3, 3], "cells": [0]}],
+                        efs=[{"tuples": [], "formations": [0], "defects": []}])
+    return {"sge": dump_instance(Instance(tree, PathGraph.of(CHAIN_ORDER))),
+            "plan": plan.to_json(), "sgd": dump_drawing(d)}
+
+
+def _passage_scenario():
+    inst, d, plan = passage_witness()
+    return {"sge": dump_instance(inst), "plan": plan.to_json(),
+            "sgd": dump_drawing(d)}
+
+
+_GADGET_LEVELS = LevelTree.of(RootedTree.from_parent(GADGET_PARENT),
+                              (1, 2, 2, 2, 1, 1, 1, 1, 3, 4))
+_LEVEL_ARGS = ["level-search", "{slt}", "--grid", "5", "--budget", "300"]
+SCENARIOS = {
+    "check": (["check", "{sge}", "{sgd}"],
+              {"sge": "sge 1 4\ntree - 0 0 1\npath 3 1 0 2\nroles RJJO\n",
+               "sgd": "sgd 1 4\n0 0 0\n1 1 1/2\n2 2 0\n3 -1 3\n"}),
+    "passages": (["analyze", "{sge}", "{plan}", "{sgd}"], _passage_scenario()),
+    "channels": (["analyze", "{sge}", "{plan}", "{sgd}"], _channel_scenario()),
+    "levels": (_LEVEL_ARGS, {"slt": dump_level_tree(_GADGET_LEVELS)}),
+    "regions": (_LEVEL_ARGS, {"slt": dump_level_tree(
+        _GADGET_LEVELS, RegionSystem.horizontal([0, 1, 2, 3]))}),
+}
+FILLERS = ("x", "1/0", "-", "-1", str(10 ** 30))
+JSON_FILLERS = FILLERS + ('"x"', "null", "[]", "{}")
+JSON_TOKEN = re.compile(r'"[^"]*"|[][{}:,]|[^][{}:,"\s]+')
+
+
+def _mutated(draw, units: list, fillers) -> list:
+    i = draw(st.integers(0, len(units) - 1))
+    op = draw(st.sampled_from(("delete", "duplicate", "replace")))
+    if op == "delete":
+        return units[:i] + units[i + 1:]
+    if op == "duplicate":
+        return units[:i + 1] + units[i:]
+    return units[:i] + [draw(st.sampled_from(fillers))] + units[i + 1:]
+
+
+@st.composite
+def malformed(draw):
+    """(scenario, file key, mutated text): one file of one scenario with
+    one line or one token deleted, duplicated or replaced."""
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    files = SCENARIOS[name][1]
+    key = draw(st.sampled_from(sorted(files)))
+    if key == "plan":
+        return name, key, "".join(
+            _mutated(draw, JSON_TOKEN.findall(files[key]), JSON_FILLERS))
+    lines = files[key].splitlines()
+    if draw(st.booleans()):
+        return name, key, "\n".join(_mutated(draw, lines, FILLERS)) + "\n"
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = " ".join(_mutated(draw, lines[i].split(), FILLERS))
+    return name, key, "\n".join(lines) + "\n"
+
+
+class TestMalformedInputFuzz:
+    @settings(max_examples=600)
+    @example(case=("regions", "slt", "slt 1 2 2\ntree - 0\nphi 1 2\nlines 0 1 0\n"))
+    @example(case=("passages", "plan", '{"cells": 3}'))
+    @example(case=("passages", "plan", "[]"))
+    @example(case=("passages", "plan", UNKNOWN_KEY_PLAN))
+    @given(case=malformed())
+    def test_exit_code_and_one_error_line(self, case):
+        name, key, text = case
+        argv, files = SCENARIOS[name]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for k, doc in files.items():
+                paths[k] = str(Path(tmp) / f"doc.{k}")
+                Path(paths[k]).write_text(text if k == key else doc)
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([a.format(**paths) for a in argv])
+        assert isinstance(code, int)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

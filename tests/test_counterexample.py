@@ -38,10 +38,6 @@ class TestParams:
         with pytest.raises(InvalidParams):
             reduced(2, 2, y=3).validate()
 
-    def test_rejects_wrong_joint_count(self):
-        with pytest.raises(InvalidParams):
-            reduced(2, 1, joints=5).validate()
-
     def test_rejects_sef_reps_not_multiple_of_tuple(self):
         with pytest.raises(InvalidParams):
             reduced(2, 1, sef_reps=5).validate()

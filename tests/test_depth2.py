@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from simembed.depth2 import (
@@ -57,13 +59,30 @@ class TestEmbed:
         assert embed_depth2(i).pos == embed_depth2(i).pos
 
     def test_denominators_polynomial(self):
-        # slopes have denominator t*(k+1) with t, k < n, so every
-        # coordinate denominator is below n^2
+        # wedge slopes are integers, so every coordinate is an integer
         i = inst([None] + [0] * 6, [3, 1, 5, 0, 4, 2, 6])
         d = embed_depth2(i)
-        n = 7
-        assert all(p.x.denominator <= n * n and p.y.denominator <= n * n
+        assert all(p.x.denominator == 1 and p.y.denominator == 1
                    for p in d.pos.values())
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_integer_grid_at_scale(self, n):
+        # a seeded random depth-<=2 tree with a random path: integer
+        # coordinates below 2n^3, all conditions met, both graphs planar
+        rng = random.Random(n)
+        parent, children = [None], []
+        for v in range(1, n):
+            if not children or rng.random() < 0.2:
+                parent.append(0)
+                children.append(v)
+            else:
+                parent.append(rng.choice(children))
+        order = list(range(n))
+        rng.shuffle(order)
+        i = inst(parent, order)
+        d = assert_good(i)
+        assert all(q.denominator == 1 and abs(q) < 2 * n ** 3
+                   for p in d.pos.values() for q in (p.x, p.y))
 
 
 class TestPlan:
