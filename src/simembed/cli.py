@@ -34,8 +34,6 @@ from .counterexample import (
 )
 from .depth2 import DepthExceeded, embed_depth2
 from .leveltree import (
-    LevelStatus,
-    RegionStatus,
     load_level_tree,
     region_candidates,
     search_level_planar,
@@ -48,13 +46,8 @@ from .model import (
     load_drawing,
     load_instance,
     tree_depth,
-    validate_instance,
 )
-from .planarity import (
-    SearchStatus,
-    check_simultaneous,
-    search_embedding,
-)
+from .planarity import SearchResult, check_simultaneous, search_embedding
 from .geom import Point
 
 EXIT_CLEAN = 0
@@ -138,6 +131,16 @@ def _emit(args, record: dict, text: str) -> None:
         print(text)
 
 
+def _answer(args, res: SearchResult) -> int:
+    """Print a search result and map its status to the exit code."""
+    rec = {"status": res.status.name, "nodes": res.nodes, "note": res.note,
+           "metadata": res.metadata}
+    _emit(args, rec, f"{res.status.name} after {res.nodes} nodes"
+          + (f" ({res.note})" if res.note else ""))
+    return {"Found": EXIT_CLEAN,
+            "BudgetExceeded": EXIT_BUDGET}.get(res.status.name, EXIT_VIOLATION)
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_generate(args) -> int:
@@ -217,12 +220,9 @@ def cmd_embed_depth2(args) -> int:
 def cmd_check(args) -> int:
     inst = load_instance(_read(args.instance))
     d = load_drawing(_read(args.drawing))
-    rep = validate_instance(inst)
     tr, pr = check_simultaneous(inst, d)
-    clean = rep.valid and tr.planar and pr.planar
-    rec = {"instance_valid": rep.valid,
-           "violations": list(rep.violations),
-           "tree_planar": tr.planar, "path_planar": pr.planar,
+    clean = tr.planar and pr.planar
+    rec = {"tree_planar": tr.planar, "path_planar": pr.planar,
            "tree_crossings": len(tr.crossings),
            "path_crossings": len(pr.crossings),
            "tree_vertex_on_edge": len(tr.vertex_on_edge),
@@ -231,8 +231,7 @@ def cmd_check(args) -> int:
     _emit(args, rec,
           ("clean" if clean else "VIOLATIONS") + ": "
           f"tree planar={tr.planar} ({rec['tree_crossings']} crossings), "
-          f"path planar={pr.planar} ({rec['path_crossings']} crossings), "
-          f"structure valid={rep.valid}")
+          f"path planar={pr.planar} ({rec['path_crossings']} crossings)")
     return EXIT_CLEAN if clean else EXIT_VIOLATION
 
 
@@ -240,42 +239,24 @@ def cmd_search(args) -> int:
     inst = load_instance(_read(args.instance))
     pts = [Point(x, y) for x in range(args.grid) for y in range(args.grid)]
     res = search_embedding(inst, pts, budget=args.budget)
-    rec = {"status": res.status.name, "nodes": res.nodes}
-    _emit(args, rec, f"{res.status.name} after {res.nodes} nodes")
-    if res.status is SearchStatus.Found:
+    code = _answer(args, res)
+    if res.drawing is not None:
         if args.out:
             _write(args.out, dump_drawing(res.drawing))
         else:
             sys.stdout.write(dump_drawing(res.drawing))
-        return EXIT_CLEAN
-    if res.status is SearchStatus.BudgetExceeded:
-        return EXIT_BUDGET
-    return EXIT_VIOLATION
+    return code
 
 
 def cmd_level_search(args) -> int:
     lt, rs = load_level_tree(_read(args.leveltree))
     if rs is not None:
         grid = region_candidates(rs, per_axis=args.grid, span=args.grid)
-        res = search_region_level_planar(lt, rs, grid, budget=args.budget)
-        rec = {"status": res.status.name, "nodes": res.nodes,
-               "metadata": res.metadata}
-        _emit(args, rec, f"{res.status.name} after {res.nodes} nodes")
-        if res.status is RegionStatus.Found:
-            return EXIT_CLEAN
-        if res.status is RegionStatus.BudgetExceeded:
-            return EXIT_BUDGET
-        return EXIT_VIOLATION
-    res = search_level_planar(lt, grid_width=args.grid, budget=args.budget,
-                              method=args.method)
-    rec = {"status": res.status.name, "nodes": res.nodes, "note": res.note}
-    _emit(args, rec, f"{res.status.name} after {res.nodes} nodes"
-          + (f" ({res.note})" if res.note else ""))
-    if res.status is LevelStatus.Found:
-        return EXIT_CLEAN
-    if res.status is LevelStatus.BudgetExceeded:
-        return EXIT_BUDGET
-    return EXIT_VIOLATION
+        return _answer(args, search_region_level_planar(lt, rs, grid,
+                                                        budget=args.budget))
+    return _answer(args, search_level_planar(lt, grid_width=args.grid,
+                                             budget=args.budget,
+                                             method=args.method))
 
 
 def cmd_analyze(args) -> int:

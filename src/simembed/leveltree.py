@@ -10,7 +10,7 @@ the result says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +22,7 @@ from .model import Drawing, FormatError, RootedTree, ValidationReport
 from .planarity import (
     BudgetExceeded,
     CrossingReport,
+    SearchResult,
     _place,
     _square_symmetries,
     check_drawing,
@@ -57,30 +58,14 @@ class LevelTree:
         return out
 
 
-@dataclass(frozen=True)
-class LevelDrawing:
-    x: dict  # VertexId -> Fraction
-
-    def to_drawing(self, t: LevelTree) -> Drawing:
-        return Drawing({v: Point(self.x[v], t.phi[v]) for v in self.x})
-
-
-def check_level_drawing(t: LevelTree, d: LevelDrawing) -> CrossingReport:
-    return check_drawing(t.tree.edges(), d.to_drawing(t))
+def check_level_drawing(t: LevelTree, d: Drawing) -> CrossingReport:
+    return check_drawing(t.tree.edges(), d)
 
 
 class LevelStatus(Enum):
     Found = "found"
     ExhaustedNone = "exhausted-none"
     BudgetExceeded = "budget-exceeded"
-
-
-@dataclass
-class LevelSearchResult:
-    status: LevelStatus
-    drawing: Optional[LevelDrawing] = None
-    nodes: int = 0
-    note: str = ""
 
 
 # --- combinatorial ordering oracle ---------------------------------------
@@ -93,14 +78,17 @@ class LevelSearchResult:
 
 def _subdivide(t: LevelTree):
     n = t.tree.n
-    lev = {v: t.phi[v] for v in range(n)}
+    # number the used levels densely: a level holding only dummies adds no
+    # constraint, so a chain needs one dummy per used level it passes
+    rank = {lv: i for i, lv in enumerate(sorted(set(t.phi)))}
+    lev = {v: rank[t.phi[v]] for v in range(n)}
     pedges = []
     owner = {}  # dummy -> the leaf endpoint of its chain (symmetry tag)
     nxt = n
     for u, v in t.tree.edges():
-        a, b = (u, v) if t.phi[u] < t.phi[v] else (v, u)
+        a, b = (u, v) if lev[u] < lev[v] else (v, u)
         prev = a
-        for level in range(t.phi[a] + 1, t.phi[b]):
+        for level in range(lev[a] + 1, lev[b]):
             lev[nxt] = level
             pedges.append((prev, nxt))
             owner[nxt] = v
@@ -111,11 +99,8 @@ def _subdivide(t: LevelTree):
 
 
 def _ordering_oracle(t: LevelTree, budget: int):
-    """Return per-level orderings admitting no inversion, or None.
-
-    Raises BudgetExceeded when the positional backtracking outgrows the
-    node budget.
-    """
+    """Return (per-level orderings admitting no inversion or None, nodes);
+    nodes > budget means the budget ran out, as for _place."""
     n = t.tree.n
     lev, pedges, owner = _subdivide(t)
     levels: dict[int, list[int]] = {}
@@ -158,8 +143,6 @@ def _ordering_oracle(t: LevelTree, budget: int):
 
         def place(chosen, remaining):
             nonlocal nodes
-            if nodes > budget:
-                raise BudgetExceeded
             if not remaining:
                 p2 = dict(pos)
                 for idx, v in enumerate(chosen):
@@ -169,6 +152,8 @@ def _ordering_oracle(t: LevelTree, budget: int):
             member_tags = {tag(w) for w in members}
             for v in sorted(remaining):
                 nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded
                 tv = tag(v)
                 first = sym_later.get(tv)
                 if (first is not None and first in member_tags
@@ -201,8 +186,10 @@ def _ordering_oracle(t: LevelTree, budget: int):
 
         return place([], set(members))
 
-    result = rec(0, {})
-    return result, nodes
+    try:
+        return rec(0, {}), nodes
+    except BudgetExceeded:
+        return None, nodes
 
 
 # --- geometric searches ---------------------------------------------------
@@ -224,7 +211,7 @@ def _sibling_cut(t: LevelTree) -> dict[int, int]:
 
 def search_level_planar(t: LevelTree, grid_width: int,
                         budget: int = 20_000_000,
-                        method: str = "auto") -> LevelSearchResult:
+                        method: str = "auto") -> SearchResult:
     """Decide level planarity over injective x-assignments from {1..W}.
 
     method "combinatorial" runs the per-level ordering oracle on the
@@ -244,26 +231,23 @@ def search_level_planar(t: LevelTree, grid_width: int,
 
     nodes = 0
     if method in ("auto", "combinatorial"):
-        try:
-            ordering, nodes = _ordering_oracle(t, budget)
-        except BudgetExceeded:
+        ordering, nodes = _ordering_oracle(t, budget)
+        if nodes > budget:
             if method == "combinatorial":
-                return LevelSearchResult(LevelStatus.BudgetExceeded, nodes=budget)
-            ordering, nodes = "unknown", 0
-        if ordering is None:
-            return LevelSearchResult(
+                return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
+            nodes = 0
+        elif ordering is None:
+            return SearchResult(
                 LevelStatus.ExhaustedNone, nodes=nodes,
                 note="ordering oracle: nonplanar over the continuum")
-        if ordering != "unknown" and t.adjacent_only():
-            xs = {v: Fraction(ordering[v] + 1) for v in range(t.tree.n)}
-            ld = LevelDrawing(xs)
-            rep = check_level_drawing(t, ld)
-            assert rep.planar
-            return LevelSearchResult(LevelStatus.Found, ld, nodes,
-                                     note="ordering oracle")
+        elif t.adjacent_only():
+            d = Drawing({v: Point(ordering[v] + 1, t.phi[v])
+                         for v in range(t.tree.n)})
+            assert check_level_drawing(t, d).planar
+            return SearchResult(LevelStatus.Found, d, nodes, note="ordering oracle")
         if method == "combinatorial":
             # bend-relaxed planar but long edges present: undecided here
-            return LevelSearchResult(
+            return SearchResult(
                 LevelStatus.BudgetExceeded, nodes=nodes,
                 note="combinatorial oracle inconclusive for long edges")
 
@@ -272,14 +256,13 @@ def search_level_planar(t: LevelTree, grid_width: int,
     found, gnodes = _place(t.tree.preorder(), cand, [t.tree.edges()], budget,
                            _square_symmetries(cand), _sibling_cut(t))
     if gnodes > budget:
-        return LevelSearchResult(LevelStatus.BudgetExceeded, nodes=budget)
+        return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
     if found is None:
-        return LevelSearchResult(LevelStatus.ExhaustedNone, nodes=nodes + gnodes,
-                                 note=f"grid-relative (W={grid_width})")
-    ld = LevelDrawing({v: Fraction(p[0]) for v, p in enumerate(found)})
-    rep = check_level_drawing(t, ld)
-    assert rep.planar
-    return LevelSearchResult(LevelStatus.Found, ld, nodes + gnodes)
+        return SearchResult(LevelStatus.ExhaustedNone, nodes=nodes + gnodes,
+                            note=f"grid-relative (W={grid_width})")
+    d = Drawing({v: Point(*p) for v, p in enumerate(found)})
+    assert check_level_drawing(t, d).planar
+    return SearchResult(LevelStatus.Found, d, nodes + gnodes)
 
 
 # --- the ten-vertex gadget and its leveling scan --------------------------
@@ -345,12 +328,8 @@ def lemma1_tree(levels: int = 4, per_class_budget: int = 30_000):
 
     certified = []
     for phi in sorted(classes):
-        t = LevelTree.of(tree, phi)
-        try:
-            ordering, _ = _ordering_oracle(t, per_class_budget)
-        except BudgetExceeded:
-            continue
-        if ordering is None:
+        ordering, nodes = _ordering_oracle(LevelTree.of(tree, phi), per_class_budget)
+        if ordering is None and nodes <= per_class_budget:
             certified.append(phi)
     return tree, certified
 
@@ -378,8 +357,6 @@ class RegionSystem:
             if base.A * ln.B != base.B * ln.A:
                 return None
             lam = (ln.A / base.A) if base.A != 0 else (ln.B / base.B)
-            if lam <= 0:
-                return None
             out.append(ln.C / lam)
         return out
 
@@ -399,22 +376,6 @@ def validate_region_system(rs: RegionSystem) -> ValidationReport:
     for i in range(len(pos) - 1):
         if pos[i] >= pos[i + 1]:
             rep.add(f"lines {i} and {i + 1} out of order")
-    if rep.valid and len(pos) >= 2:
-        # witness: a segment between consecutive region interiors crosses
-        # exactly the line between them
-        base = rs.lines[0]
-        n = Point(base.A, base.B)
-        n2 = n.dot(n)
-        for i in range(len(pos) - 1):
-            lo = pos[i] - (pos[1] - pos[0]) if i == 0 else pos[i - 1]
-            a_t = (lo + pos[i]) / 2 if i > 0 else pos[i] - 1
-            b_t = (pos[i] + pos[i + 1]) / 2
-            pa = Point(n.x * a_t / n2, n.y * a_t / n2)
-            pb = Point(n.x * b_t / n2, n.y * b_t / n2)
-            crossed = [j for j, ln in enumerate(rs.lines)
-                       if ln.side(pa) * ln.side(pb) < 0]
-            if crossed != [i]:
-                rep.add(f"witness segment {i}->{i + 1} crosses lines {crossed}")
     return rep
 
 
@@ -455,17 +416,9 @@ class RegionStatus(Enum):
     BudgetExceeded = "budget-exceeded"
 
 
-@dataclass
-class RegionSearchResult:
-    status: RegionStatus
-    drawing: Optional[Drawing] = None
-    nodes: int = 0
-    metadata: dict = field(default_factory=dict)
-
-
 def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                grid: Sequence[Sequence[Point]],
-                               budget: int = 500_000_000) -> RegionSearchResult:
+                               budget: int = 500_000_000) -> SearchResult:
     """Exhaustive search over per-region candidate placements.
 
     Runs the forward-checking placement search with vertex v on the
@@ -500,18 +453,15 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     base0 = rs.lines[0]
     offsets = [{base0.A * p.x + base0.B * p.y for p in pts} for pts in grid]
     if all(len(o) == 1 for o in offsets):
-        try:
-            ordering, onodes = _ordering_oracle(t, budget)
-        except BudgetExceeded:
-            ordering, onodes = "unknown", 0
-        if ordering is None:
+        ordering, onodes = _ordering_oracle(t, budget)
+        if ordering is None and onodes <= budget:
             meta = {"per_region_candidates": [len(c) for c in grid],
                     "flat_rows": True, "nodes": onodes,
                     "claim": ("flat-row grid: every placement is a level "
                               "drawing, and the ordering oracle excludes "
                               "those on any parallel rows")}
-            return RegionSearchResult(RegionStatus.ExhaustedNoneOverGrid,
-                                      nodes=onodes, metadata=meta)
+            return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
+                                nodes=onodes, metadata=meta)
 
     flat = [p for pts in grid for p in pts]
     ic = dict(zip(flat, int_coords(flat)))
@@ -523,18 +473,18 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             "square_symmetries": len(syms), "sibling_cuts": len(after)}
     found, nodes = _place(t.tree.preorder(), cand, [edges], budget, syms, after)
     if nodes > budget:
-        return RegionSearchResult(RegionStatus.BudgetExceeded, nodes=nodes,
-                                  metadata=meta)
+        return SearchResult(RegionStatus.BudgetExceeded, nodes=nodes,
+                            metadata=meta)
     meta["nodes"] = nodes
     if found is None:
         meta["claim"] = "no placement over the supplied grid (not a continuum proof)"
-        return RegionSearchResult(RegionStatus.ExhaustedNoneOverGrid,
-                                  nodes=nodes, metadata=meta)
+        return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
+                            nodes=nodes, metadata=meta)
     to_point = {q: p for p, q in ic.items()}
     drawing = Drawing({v: to_point[q] for v, q in enumerate(found)})
     rep = check_drawing(edges, drawing)
     assert rep.planar
-    return RegionSearchResult(RegionStatus.Found, drawing, nodes, meta)
+    return SearchResult(RegionStatus.Found, drawing, nodes, metadata=meta)
 
 
 # --- .slt level-tree format -----------------------------------------------

@@ -96,9 +96,13 @@ class SearchStatus(Enum):
 
 @dataclass
 class SearchResult:
-    status: SearchStatus
+    """The answer of every exhaustive search: search_embedding (statuses
+    from SearchStatus) and the level and region searches of leveltree."""
+    status: Enum
     drawing: Optional[Drawing] = None
     nodes: int = 0
+    note: str = ""
+    metadata: dict = field(default_factory=dict)
 
 
 class BudgetExceeded(Exception):

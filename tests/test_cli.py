@@ -195,6 +195,29 @@ class TestLevelSearch:
         assert main(["level-search", str(slt), "--grid", "4",
                      "--budget", "3"]) == 3
 
+    def test_edge_across_a_huge_level_gap(self, tmp_path, capsys):
+        # the ordering oracle subdivides the one edge only at used levels,
+        # so the 10^12 levels between its ends cost nothing
+        slt = tmp_path / "far.slt"
+        slt.write_text("slt 1 2 1000000000000\ntree - 0\nphi 1 1000000000000\n")
+        assert main(["level-search", str(slt)]) == 0
+        assert capsys.readouterr().out == "Found after 4 nodes\n"
+        assert main(["level-search", str(slt), "--method", "combinatorial"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("BudgetExceeded") and "inconclusive" in out
+
+    def test_every_search_record_has_the_same_keys(self, tmp_path, capsys):
+        sge = write_instance(tmp_path, depth2_instance())
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 0]), (1, 2, 2))
+        slt, rslt = tmp_path / "l.slt", tmp_path / "r.slt"
+        slt.write_text(dump_level_tree(lt))
+        rslt.write_text(dump_level_tree(lt, RegionSystem.horizontal([0, 1])))
+        for argv in (["search", sge, "--grid", "1"], ["level-search", str(slt)],
+                     ["level-search", str(rslt), "--grid", "3"]):
+            main(argv + ["--format", "records"])
+            rec = json.loads(capsys.readouterr().out)
+            assert set(rec) == {"status", "nodes", "note", "metadata"}
+
 
 class TestGenerateParams:
     def test_desk_generate_round_trips(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from simembed.geom import Line, Point
 from simembed.leveltree import (
-    LevelDrawing,
     LevelStatus,
     LevelTree,
     RegionStatus,

@@ -10,7 +10,7 @@ vertex-on-edge test shows.
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simembed.geom import Point
@@ -106,3 +106,22 @@ class TestAgainstBruteForce:
         expect = brute_force([grid[lv - 1] for lv in lt.phi], [lt.tree.edges()])
         assert res.status is (RegionStatus.Found if expect
                               else RegionStatus.ExhaustedNoneOverGrid)
+
+    @settings(max_examples=300)
+    @given(levelings(), st.integers(0, 2))
+    # levelings() makes no level-nonplanar adjacent-level-only tree; this
+    # subdivided K1,3 on two levels is a smallest one
+    @example(LevelTree.of(RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3]),
+                          [1, 2, 2, 2, 1, 1, 1]), 0)
+    def test_combinatorial_level_search(self, lt, extra):
+        # the ordering oracle is exact on adjacent-level-only trees; with
+        # long edges only its negative answer is claimed
+        width = max(len(vs) for vs in lt.levels().values()) + extra
+        res = search_level_planar(lt, grid_width=width, method="combinatorial")
+        cands = [[Point(x, lt.phi[v]) for x in range(1, width + 1)]
+                 for v in range(lt.tree.n)]
+        expect = brute_force(cands, [lt.tree.edges()])
+        if lt.adjacent_only():
+            assert (res.status is LevelStatus.Found) == expect
+        elif expect:
+            assert res.status is not LevelStatus.ExhaustedNone
