@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .geom import (
@@ -90,18 +91,10 @@ class Passage:
     crossed_sep_edges: tuple = ()
 
 
-def _proper_crossings(a: Point, b: Point, polyline: Sequence[Point]):
-    """Number of proper crossings of segment ab with the polyline, or
-    None when a degenerate contact (touch/overlap/vertex hit) occurs."""
-    seg = Segment(a, b)
-    count = 0
-    for p, q in zip(polyline, polyline[1:]):
-        rel = segment_relation(seg, Segment(p, q))
-        if rel is Relation.ProperCrossing:
-            count += 1
-        elif rel in (Relation.Touching, Relation.Overlapping):
-            return None
-    return count
+def _relations(e: Segment, polyline: Sequence[Point]) -> list[Relation]:
+    """The relation of segment e with each edge of the polyline."""
+    return [segment_relation(e, Segment(p, q))
+            for p, q in zip(polyline, polyline[1:])]
 
 
 def _check_plan(i: Instance, d: Drawing, plan) -> None:
@@ -156,18 +149,17 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
 
 
 def _separates(pa: list, pb: list, poly: list) -> bool:
-    for p in pa:
-        for q in pb:
-            c = _proper_crossings(p, q, poly)
-            if c is None or c % 2 == 0:
-                return False
-    for group in (pa, pb):
-        for j in range(len(group)):
-            for k in range(j + 1, len(group)):
-                c = _proper_crossings(group[j], group[k], poly)
-                if c is None or c % 2 == 1:
-                    return False
-    return True
+    def parity(p, q):
+        """Proper crossings of pq with the polyline mod 2, or None on a
+        degenerate contact (touch/overlap/vertex hit)."""
+        rels = _relations(Segment(p, q), poly)
+        if Relation.Touching in rels or Relation.Overlapping in rels:
+            return None
+        return rels.count(Relation.ProperCrossing) % 2
+
+    if any(parity(p, q) != 1 for p in pa for q in pb):
+        return False
+    return all(parity(p, q) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
 
 
 def _crossed_polyline_edges(tree_edges, set1, set2, d, poly) -> tuple:
@@ -177,10 +169,9 @@ def _crossed_polyline_edges(tree_edges, set1, set2, d, poly) -> tuple:
     for u, v in tree_edges:
         if not ((u in set1 and v in set2) or (u in set2 and v in set1)):
             continue
-        seg = Segment(d.point(u), d.point(v))
-        for e, (p, q) in enumerate(zip(poly, poly[1:])):
-            if segment_relation(seg, Segment(p, q)) is Relation.ProperCrossing:
-                hit.add(e)
+        rels = _relations(Segment(d.point(u), d.point(v)), poly)
+        hit.update(e for e, rel in enumerate(rels)
+                   if rel is Relation.ProperCrossing)
     return tuple(sorted(hit))
 
 
@@ -365,8 +356,9 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     out = []
     for idx in range(1, len(joints) - 1):
         best = None
+        right = _root_leaf_paths(i, joints[idx + 1])
         for pa in _root_leaf_paths(i, joints[idx - 1]):
-            for pb in _root_leaf_paths(i, joints[idx + 1]):
+            for pb in right:
                 if len(pa) < 2 or len(pb) < 2:
                     continue
                 x = _mutual_prefix(d, pa, pb)
@@ -503,14 +495,6 @@ def _wall(ch: Channel, d: Drawing, h: int):
     return Segment(pa[h - 1], pa[h]), Segment(pb[h - 1], pb[h])
 
 
-def _polyline_crossings(e: Segment, pts: list) -> int:
-    n = 0
-    for p, q in zip(pts, pts[1:]):
-        if segment_relation(e, Segment(p, q)) is Relation.ProperCrossing:
-            n += 1
-    return n
-
-
 def _vertex_to_ef(plan) -> dict:
     if plan is None:
         return {}
@@ -553,7 +537,8 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                     continue
                 pa = [d.point(w) for w in other.path_a]
                 pb = [d.point(w) for w in other.path_b]
-                if _polyline_crossings(e, pa) + _polyline_crossings(e, pb) >= 2:
+                rels = _relations(e, pa) + _relations(e, pb)
+                if rels.count(Relation.ProperCrossing) >= 2:
                     events.append(CutEvent(CutKind.BlockingCut, (u, v),
                                            other.joint, span))
         for ch in channels:

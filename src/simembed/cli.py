@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .analyzer import (
     TooFewJoints,
@@ -27,10 +25,10 @@ from .analyzer import (
 )
 from .counterexample import (
     CounterexampleParams,
-    ScaleMode,
     SequencePlan,
     build_instance,
     compute_paper_parameters,
+    size_report,
 )
 from .depth2 import DepthExceeded, embed_depth2
 from .leveltree import (
@@ -58,26 +56,15 @@ EXIT_BUDGET = 3
 
 # --- SVG rendering --------------------------------------------------------
 
-@dataclass(frozen=True)
-class RenderStyle:
-    tree_stroke: str = "#9e9e9e"   # tree edges grey ...
-    path_stroke: str = "#000000"   # ... below black path edges
-    tree_width: str = "2.5"
-    path_width: str = "1.2"
-    vertex_radius: str = "2.0"
-    vertex_fill: str = "#1a1a1a"
-    padding: Fraction = Fraction(10)
-
-
 def _fmt(x) -> str:
     return f"{float(x):.4f}"
 
 
-def render_svg(i, d, style: RenderStyle = RenderStyle()) -> str:
+def render_svg(i, d) -> str:
     pts = [d.point(v) for v in range(i.tree.n)]
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    pad = style.padding
+    pad = 10
     x0, y1 = min(xs) - pad, max(ys) + pad
     w = max(xs) - min(xs) + 2 * pad
     h = max(ys) - min(ys) + 2 * pad
@@ -90,23 +77,22 @@ def render_svg(i, d, style: RenderStyle = RenderStyle()) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        f'<g stroke="{style.tree_stroke}" stroke-width="{style.tree_width}" '
-        'stroke-linecap="round">',
+        # tree edges grey, beneath the black path edges
+        '<g stroke="#9e9e9e" stroke-width="2.5" stroke-linecap="round">',
     ]
     for u, v in i.tree.edges():
         (xa, ya), (xb, yb) = at(d.point(u)), at(d.point(v))
         out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
     out.append('</g>')
-    out.append(f'<g stroke="{style.path_stroke}" '
-               f'stroke-width="{style.path_width}" stroke-linecap="round">')
+    out.append('<g stroke="#000000" stroke-width="1.2" stroke-linecap="round">')
     for u, v in i.path.edges():
         (xa, ya), (xb, yb) = at(d.point(u)), at(d.point(v))
         out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
     out.append('</g>')
-    out.append(f'<g fill="{style.vertex_fill}">')
+    out.append('<g fill="#1a1a1a">')
     for v in range(i.tree.n):
         cx, cy = at(d.point(v))
-        out.append(f'<circle cx="{cx}" cy="{cy}" r="{style.vertex_radius}"/>')
+        out.append(f'<circle cx="{cx}" cy="{cy}" r="2.0"/>')
     out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
@@ -144,9 +130,8 @@ def _answer(args, res: SearchResult) -> int:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    mode = ScaleMode.PaperSymbolic if args.mode == "symbolic" else ScaleMode.Desk
     kw = {}
-    if mode is ScaleMode.Desk:
+    if args.mode == "desk":
         # desk scale: small replication counts instead of the full-size
         # constants, so the instance fits in memory and in a .sge file
         kw = dict(formation_reps=args.formation_reps,
@@ -155,9 +140,9 @@ def cmd_generate(args) -> int:
                   sef_reps=args.sef_reps)
     p = CounterexampleParams(s=args.s, x=args.x, y=args.y,
                              double_defects=args.double_defects,
-                             scale_mode=mode, cap=args.cap, **kw)
-    if mode is ScaleMode.PaperSymbolic:
-        rep = build_instance(p)
+                             cap=args.cap, **kw)
+    if args.mode == "symbolic":
+        rep = size_report(p)
         rec = {"joints": rep.joints, "cells_per_joint": rep.cells_per_joint,
                "cells_per_formation": rep.cells_per_formation,
                "head": list(rep.cell_head_counts),
@@ -315,7 +300,7 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     inst = load_instance(_read(args.instance))
     d = load_drawing(_read(args.drawing))
-    svg = render_svg(inst, d, RenderStyle())
+    svg = render_svg(inst, d)
     if args.out:
         _write(args.out, svg)
     else:
@@ -324,6 +309,13 @@ def cmd_render(args) -> int:
 
 
 # --- argument parsing -----------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -365,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="exhaustive small-instance oracle")
     s.add_argument("instance")
-    s.add_argument("--grid", type=int, default=4,
+    s.add_argument("--grid", type=_positive_int, default=4,
                    help="use the integer grid of this width as candidates")
-    s.add_argument("--budget", type=int, default=10_000_000)
+    s.add_argument("--budget", type=_positive_int, default=10_000_000)
     s.add_argument("--out")
     s.add_argument("--format", choices=("text", "records"), default="text")
     s.set_defaults(func=cmd_search)
 
     ls = sub.add_parser("level-search", help="level/region planarity search")
     ls.add_argument("leveltree")
-    ls.add_argument("--grid", type=int, default=6)
-    ls.add_argument("--budget", type=int, default=10_000_000)
+    ls.add_argument("--grid", type=_positive_int, default=6)
+    ls.add_argument("--budget", type=_positive_int, default=10_000_000)
     ls.add_argument("--method", choices=("auto", "grid", "combinatorial"),
                     default="auto")
     ls.add_argument("--format", choices=("text", "records"), default="text")

@@ -3,16 +3,15 @@
 The tree hangs branches and stabilizers off joints below a common root;
 the path threads through them cell by cell, cells are chained into
 formations, formations into extended formations (EFs) with scheduled
-defects, and EFs into a sequence of extended formations (SEF).  Desk
-mode builds a concrete labeled instance at reduced constants; paper
-symbolic mode only evaluates exact counts at full scale.
+defects, and EFs into a sequence of extended formations (SEF).
+`build_instance` builds a labeled instance at reduced constants;
+`size_report` only evaluates exact counts, at full scale too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from enum import Enum
 from math import comb, ceil
 from typing import Optional
 
@@ -26,11 +25,6 @@ class InvalidParams(ValueError):
 
 class CapExceeded(ValueError):
     pass
-
-
-class ScaleMode(Enum):
-    Desk = "desk"
-    PaperSymbolic = "paper-symbolic"
 
 
 PAPER_R1 = 37   # inner repetitions of a formation
@@ -53,7 +47,6 @@ class CounterexampleParams:
     sef_tuple: int = PAPER_R3
     sef_efs: int = PAPER_R4
     sef_reps: int = PAPER_R5
-    scale_mode: ScaleMode = ScaleMode.Desk
     double_defects: bool = False
     cap: int = 300_000
 
@@ -190,8 +183,6 @@ class PaperParameters:
     l: int
     t: int
     n_bound: int
-    x_cap: int = X_CAP
-    y_cap: int = Y_CAP
     degenerate: bool = False
 
 
@@ -288,25 +279,28 @@ def _distribute_set(branches: list[dict], stab_pool: list[int],
     return cells
 
 
-def build_instance(p: CounterexampleParams):
-    """Desk mode: a labeled Instance plus its SequencePlan.
-    PaperSymbolic mode: a SizeReport with exact counts only."""
+def size_report(p: CounterexampleParams) -> SizeReport:
+    """Exact counts of the instance p describes, without building it."""
     p.validate()
     counts = _cell_counts(p.s)
-    if p.scale_mode is ScaleMode.PaperSymbolic:
-        return SizeReport(
-            params=p,
-            joints=p.joint_count(),
-            cells_per_joint=p.cells_needed_per_joint(),
-            cells_per_formation=4 * p.formation_reps * p.formation_outer,
-            cells_per_formation_per_joint=p.cells_per_joint_per_formation(),
-            branch_vertices=_branch_size(p.s),
-            cell_head_counts=counts["head"],
-            cell_tail_counts=counts["tail"],
-            cell_stabilizers=counts["stabilizers"],
-            vertices_total=_estimate_vertices(p),
-        )
+    return SizeReport(
+        params=p,
+        joints=p.joint_count(),
+        cells_per_joint=p.cells_needed_per_joint(),
+        cells_per_formation=4 * p.formation_reps * p.formation_outer,
+        cells_per_formation_per_joint=p.cells_per_joint_per_formation(),
+        branch_vertices=_branch_size(p.s),
+        cell_head_counts=counts["head"],
+        cell_tail_counts=counts["tail"],
+        cell_stabilizers=counts["stabilizers"],
+        vertices_total=_estimate_vertices(p),
+    )
 
+
+def build_instance(p: CounterexampleParams):
+    """A labeled Instance plus its SequencePlan."""
+    p.validate()
+    counts = _cell_counts(p.s)
     n_est = _estimate_vertices(p)
     if n_est > p.cap:
         raise CapExceeded(f"instance would have {n_est} vertices (cap {p.cap})")

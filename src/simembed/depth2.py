@@ -100,12 +100,11 @@ def embed_depth2(i: Instance) -> Drawing:
     return Drawing(pos)
 
 
-def verify_conditions(i: Instance, d: Drawing,
-                      plan: WedgePlan | None = None) -> ValidationReport:
+def verify_conditions(i: Instance, d: Drawing) -> ValidationReport:
     """Syntactic check of the five placement conditions, independent of
     any planarity test."""
     rep = ValidationReport()
-    plan = plan or plan_depth2(i)
+    plan = plan_depth2(i)
     r = i.tree.root
     p1, p2 = _subpaths(i)
     xs = {w: d.point(w).x for w in d.pos}

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .geom import Line, Point, int_coords
-from .model import Drawing, FormatError, RootedTree, ValidationReport
+from .model import Drawing, FormatError, RootedTree
 from .planarity import (
     BudgetExceeded,
     CrossingReport,
@@ -68,6 +68,25 @@ class LevelStatus(Enum):
     BudgetExceeded = "budget-exceeded"
 
 
+# --- leveled shapes -------------------------------------------------------
+
+def _subtree_shape(t: RootedTree, phi, v) -> tuple:
+    """Canonical form of v's leveled subtree (Aho, Hopcroft and Ullman,
+    1974): equal shapes are exactly the interchangeable subtrees."""
+    kids = sorted(_subtree_shape(t, phi, c) for c in t.children(v))
+    return (phi[v], tuple(kids))
+
+
+def _sibling_cut(t: LevelTree) -> dict[int, int]:
+    """Interchangeable sibling subtrees (same parent, same leveled shape)
+    take increasing candidate indices: each maps to the sibling before it."""
+    groups: dict[tuple, list[int]] = {}
+    for v, p in enumerate(t.tree.parent):
+        if p is not None:
+            groups.setdefault((p, _subtree_shape(t.tree, t.phi, v)), []).append(v)
+    return {b: a for g in groups.values() for a, b in zip(g, g[1:])}
+
+
 # --- combinatorial ordering oracle ---------------------------------------
 #
 # Long edges are subdivided with a free bendpoint on every intermediate
@@ -112,21 +131,11 @@ def _ordering_oracle(t: LevelTree, budget: int):
         lo = min(lev[u], lev[v])
         by_lo.setdefault(lo, []).append((u, v) if lev[u] == lo else (v, u))
 
-    # interchangeable leaves: same parent, same level (their dummy chains
-    # are isomorphic, so one fixed relative order suffices)
-    is_leaf = [True] * n
-    for v in range(n):
-        p = t.tree.parent[v]
-        if p is not None:
-            is_leaf[p] = False
-    sym_later: dict[int, int] = {}  # leaf -> an equivalent leaf that must precede it
-    seen: dict[tuple, int] = {}
-    for v in range(n):
-        if is_leaf[v] and t.tree.parent[v] is not None:
-            key = (t.tree.parent[v], t.phi[v])
-            if key in seen:
-                sym_later[v] = seen[key]
-            seen[key] = v
+    # interchangeable leaves: the sibling cut restricted to leaves (same
+    # parent, same level; their dummy chains are isomorphic, so one fixed
+    # relative order suffices).  Each maps to the leaf that must precede it.
+    sym_later = {v: u for v, u in _sibling_cut(t).items()
+                 if not t.tree.children(v)}
 
     def tag(v):
         return v if v < n else owner[v]
@@ -194,21 +203,6 @@ def _ordering_oracle(t: LevelTree, budget: int):
 
 # --- geometric searches ---------------------------------------------------
 
-def _subtree_shape(t: RootedTree, phi, v) -> tuple:
-    kids = sorted(_subtree_shape(t, phi, c) for c in t.children(v))
-    return (phi[v], tuple(kids))
-
-
-def _sibling_cut(t: LevelTree) -> dict[int, int]:
-    """Interchangeable sibling subtrees (same parent, same leveled shape)
-    take increasing candidate indices: each maps to the sibling before it."""
-    groups: dict[tuple, list[int]] = {}
-    for v, p in enumerate(t.tree.parent):
-        if p is not None:
-            groups.setdefault((p, _subtree_shape(t.tree, t.phi, v)), []).append(v)
-    return {b: a for g in groups.values() for a, b in zip(g, g[1:])}
-
-
 def search_level_planar(t: LevelTree, grid_width: int,
                         budget: int = 20_000_000,
                         method: str = "auto") -> SearchResult:
@@ -220,7 +214,8 @@ def search_level_planar(t: LevelTree, grid_width: int,
     only when the tree is adjacent-level-only.  method "grid" runs the
     placement search with vertex v on the points (x, phi(v)), x in 1..W,
     under the square-symmetry and sibling-subtree cuts.  "auto" tries the
-    combinatorial oracle first and falls back to the grid.
+    combinatorial oracle first and falls back to the grid, spending one
+    budget across both: the grid gets what the oracle left.
     """
     counts = [len(vs) for vs in t.levels().values()]
     if max(counts) > grid_width:
@@ -233,14 +228,12 @@ def search_level_planar(t: LevelTree, grid_width: int,
     if method in ("auto", "combinatorial"):
         ordering, nodes = _ordering_oracle(t, budget)
         if nodes > budget:
-            if method == "combinatorial":
-                return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
-            nodes = 0
-        elif ordering is None:
+            return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
+        if ordering is None:
             return SearchResult(
                 LevelStatus.ExhaustedNone, nodes=nodes,
                 note="ordering oracle: nonplanar over the continuum")
-        elif t.adjacent_only():
+        if t.adjacent_only():
             d = Drawing({v: Point(ordering[v] + 1, t.phi[v])
                          for v in range(t.tree.n)})
             assert check_level_drawing(t, d).planar
@@ -253,9 +246,10 @@ def search_level_planar(t: LevelTree, grid_width: int,
 
     rows = {lv: [(x, lv) for x in range(1, grid_width + 1)] for lv in set(t.phi)}
     cand = [rows[lv] for lv in t.phi]
-    found, gnodes = _place(t.tree.preorder(), cand, [t.tree.edges()], budget,
-                           _square_symmetries(cand), _sibling_cut(t))
-    if gnodes > budget:
+    found, gnodes = _place(t.tree.preorder(), cand, [t.tree.edges()],
+                           budget - nodes, _square_symmetries(cand),
+                           _sibling_cut(t))
+    if nodes + gnodes > budget:
         return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
     if found is None:
         return SearchResult(LevelStatus.ExhaustedNone, nodes=nodes + gnodes,
@@ -268,68 +262,37 @@ def search_level_planar(t: LevelTree, grid_width: int,
 # --- the ten-vertex gadget and its leveling scan --------------------------
 
 _GADGET_PARENT = (None, 0, 0, 0, 1, 2, 3, 1, 2, 3)
-
-
-def _gadget_tree() -> RootedTree:
-    return RootedTree.from_parent(list(_GADGET_PARENT))
-
-
-def _gadget_automorphisms():
-    # permute the three depth-1 subtrees and swap the two leaves within
-    # each; 6 * 2^3 = 48 maps
-    branches = [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
-    autos = []
-    for sigma in permutations(range(3)):
-        for sw in product((0, 1), repeat=3):
-            perm = {0: 0}
-            for i in range(3):
-                c1, a1, b1 = branches[i]
-                c2, a2, b2 = branches[sigma[i]]
-                perm[c1] = c2
-                perm[a1], perm[b1] = (b2, a2) if sw[i] else (a2, b2)
-            autos.append(tuple(perm[v] for v in range(10)))
-    return autos
+LEVELS = 4              # levels of the scanned levelings
+CLASS_BUDGET = 30_000   # ordering-oracle nodes per leveling class
 
 
 @lru_cache(maxsize=None)
-def lemma1_tree(levels: int = 4, per_class_budget: int = 30_000):
+def lemma1_tree():
     """The 10-vertex gadget plus its certified-nonplanar 4-levelings.
 
-    Scans every valid surjective 4-leveling, quotiented by level reversal
-    and by the gadget's 48 tree automorphisms, and keeps the class
+    Scans every valid surjective 4-leveling, one per class under level
+    reversal and the gadget's automorphisms: a class is keyed by the
+    lesser leveled shape of phi and of phi reversed, and represented by
+    its least member, the first in product order.  Keeps the
     representatives the ordering oracle certifies nonplanar (a continuum
-    certificate).  Classes whose certification outgrows the per-class
-    budget are skipped, not guessed.
+    certificate).  Classes whose certification outgrows CLASS_BUDGET are
+    skipped, not guessed.
     """
-    tree = _gadget_tree()
+    tree = RootedTree.from_parent(list(_GADGET_PARENT))
     edges = tree.edges()
-    autos = _gadget_automorphisms()
-    hi = levels + 1
-
-    def canonical(phi):
-        best = None
-        for a in autos:
-            img = [0] * 10
-            for old in range(10):
-                img[a[old]] = phi[old]
-            for cand in (tuple(img), tuple(hi - x for x in img)):
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    classes = set()
-    rng = tuple(range(1, hi))
-    for phi in product(rng, repeat=10):
-        if any(phi[u] == phi[v] for u, v in edges):
+    hi = LEVELS + 1
+    reps: dict[tuple, tuple] = {}
+    for phi in product(range(1, hi), repeat=tree.n):
+        if len(set(phi)) != LEVELS or any(phi[u] == phi[v] for u, v in edges):
             continue
-        if len(set(phi)) != levels:
-            continue
-        classes.add(canonical(phi))
+        key = min(_subtree_shape(tree, phi, tree.root),
+                  _subtree_shape(tree, [hi - x for x in phi], tree.root))
+        reps.setdefault(key, phi)
 
     certified = []
-    for phi in sorted(classes):
-        ordering, nodes = _ordering_oracle(LevelTree.of(tree, phi), per_class_budget)
-        if ordering is None and nodes <= per_class_budget:
+    for phi in reps.values():
+        ordering, nodes = _ordering_oracle(LevelTree.of(tree, phi), CLASS_BUDGET)
+        if ordering is None and nodes <= CLASS_BUDGET:
             certified.append(phi)
     return tree, certified
 
@@ -338,7 +301,21 @@ def lemma1_tree(levels: int = 4, per_class_budget: int = 30_000):
 
 @dataclass(frozen=True)
 class RegionSystem:
+    """Parallel (so pairwise non-crossing) lines ordered along their normal,
+    so a segment from region i to region h crosses exactly lines i..h-1."""
     lines: tuple  # ordered Lines; region i lies before line i
+
+    def __post_init__(self):
+        if not self.lines:
+            raise ValueError("invalid region system: empty region system")
+        base = self.lines[0]
+        if any(base.A * ln.B != base.B * ln.A for ln in self.lines):
+            raise ValueError("invalid region system: lines cross (non-parallel pair)")
+        pos = self.positions()
+        bad = [f"lines {i} and {i + 1} out of order"
+               for i in range(len(pos) - 1) if pos[i] >= pos[i + 1]]
+        if bad:
+            raise ValueError("invalid region system: " + "; ".join(bad))
 
     @staticmethod
     def of(lines: Sequence[Line]) -> "RegionSystem":
@@ -349,43 +326,16 @@ class RegionSystem:
         return RegionSystem.of([Line(0, 1, y) for y in ys])
 
     def positions(self):
-        """Offsets of the lines along the shared normal, or None if the
-        lines are not pairwise parallel."""
+        """Offsets of the lines along the shared normal."""
         base = self.lines[0]
-        out = []
-        for ln in self.lines:
-            if base.A * ln.B != base.B * ln.A:
-                return None
-            lam = (ln.A / base.A) if base.A != 0 else (ln.B / base.B)
-            out.append(ln.C / lam)
-        return out
-
-
-def validate_region_system(rs: RegionSystem) -> ValidationReport:
-    """Pairwise non-crossing (straight lines: parallel) and ordered along
-    the common normal so a segment from region i to region h crosses
-    exactly lines i..h-1."""
-    rep = ValidationReport()
-    if not rs.lines:
-        rep.add("empty region system")
-        return rep
-    pos = rs.positions()
-    if pos is None:
-        rep.add("lines cross (non-parallel pair)")
-        return rep
-    for i in range(len(pos) - 1):
-        if pos[i] >= pos[i + 1]:
-            rep.add(f"lines {i} and {i + 1} out of order")
-    return rep
+        return [ln.C / ((ln.A / base.A) if base.A != 0 else (ln.B / base.B))
+                for ln in self.lines]
 
 
 def region_candidates(rs: RegionSystem, per_axis: int = 6,
                       span: int = 6) -> list[list[Point]]:
     """A per-region candidate grid, strictly interior with a margin of a
     quarter of the inter-line gap."""
-    rep = validate_region_system(rs)
-    if not rep.valid:
-        raise ValueError("invalid region system: " + "; ".join(rep.violations))
     pos = rs.positions()
     base = rs.lines[0]
     n = Point(base.A, base.B)
@@ -428,9 +378,6 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     the grid.  The verdict is grid-relative evidence, recorded as such
     in the metadata.
     """
-    rep = validate_region_system(rs)
-    if not rep.valid:
-        raise ValueError("invalid region system: " + "; ".join(rep.violations))
     if len(grid) != len(rs.lines):
         raise ValueError("one candidate list per region required")
     pos_sys = rs.positions()

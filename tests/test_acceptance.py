@@ -28,10 +28,10 @@ from simembed.analyzer import (
 )
 from simembed.counterexample import (
     CounterexampleParams,
-    ScaleMode,
     X_CAP,
     build_instance,
     compute_paper_parameters,
+    size_report,
 )
 from simembed.depth2 import depth2_trees, enumerate_depth2_suite
 from simembed.geom import (
@@ -145,9 +145,8 @@ class TestAcceptance4GeneratorCounts:
     def test_cell_counts_formulas(self):
         for s in (2, 3):
             for x in (1, 2):
-                p = CounterexampleParams(s=s, x=x, y=2 * x if x > 1 else 2,
-                                         scale_mode=ScaleMode.PaperSymbolic)
-                rep = build_instance(p)
+                p = CounterexampleParams(s=s, x=x, y=2 * x if x > 1 else 2)
+                rep = size_report(p)
                 assert rep.cell_head_counts == (
                     1, 3 * (s - 1), 3 * (s - 2) * (s - 1))
                 assert rep.cell_tail_counts == (
@@ -156,9 +155,8 @@ class TestAcceptance4GeneratorCounts:
                 assert rep.cell_stabilizers == 9 * (s - 1) ** 4
 
     def test_full_scale_cells_per_formation(self):
-        p = CounterexampleParams(s=2, x=1, y=2,
-                                 scale_mode=ScaleMode.PaperSymbolic)
-        rep = build_instance(p)
+        p = CounterexampleParams(s=2, x=1, y=2)
+        rep = size_report(p)
         assert rep.cells_per_formation == 592
         assert rep.cells_per_formation_per_joint == 148
 

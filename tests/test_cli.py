@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from simembed.cli import main, render_svg, RenderStyle
+from simembed.cli import main, render_svg
 from simembed.counterexample import CellLayout, SequencePlan
 from simembed.geom import Point
 from simembed.leveltree import (
@@ -285,9 +285,8 @@ class TestRender:
     def test_layering_and_counts(self):
         inst, d = self.small()
         svg = render_svg(inst, d)
-        style = RenderStyle()
-        grey = svg.index(style.tree_stroke)
-        black = svg.index(f'stroke="{style.path_stroke}"')
+        grey = svg.index('stroke="#9e9e9e"')
+        black = svg.index('stroke="#000000"')
         assert grey < black  # tree edges are drawn beneath path edges
         assert svg.count("<line") == 4
         assert svg.count("<circle") == 3
@@ -410,6 +409,24 @@ class TestUsageErrors:
             (tmp_path / f"w.{k}").write_text(files[k])
         assert main(["analyze", *paths]) == 2
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("cmd, flag, value", [
+        ("level-search", "--budget", "-1"),
+        ("level-search", "--grid", "0"),
+        ("search", "--budget", "0"),
+        ("search", "--grid", "-2"),
+    ])
+    def test_non_positive_grid_or_budget(self, tmp_path, capsys, cmd, flag, value):
+        if cmd == "search":
+            path = write_instance(tmp_path, depth2_instance())
+        else:
+            path = tmp_path / "r.slt"
+            path.write_text("slt 1 2 2\ntree - 0\nphi 1 2\n"
+                            "lines 0 1 1\nlines 0 1 2\n")
+        with pytest.raises(SystemExit) as e:
+            main([cmd, str(path), flag, value])
+        assert e.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
 
 
 # --- malformed-input fuzzing -------------------------------------------------

@@ -5,7 +5,6 @@ from simembed.counterexample import (
     CounterexampleParams,
     InvalidParams,
     PaperParameters,
-    ScaleMode,
     SequencePlan,
     SizeReport,
     X_CAP,
@@ -13,6 +12,7 @@ from simembed.counterexample import (
     build_instance,
     compute_paper_parameters,
     derive_cells,
+    size_report,
     validate_structure,
 )
 from simembed.model import PathGraph, Instance, Role, validate_instance, tree_depth
@@ -92,17 +92,15 @@ class TestPaperParameters:
 
 class TestSymbolicMode:
     def test_formation_cell_counts_at_paper_constants(self):
-        p = CounterexampleParams(s=2, x=1, y=2,
-                                 scale_mode=ScaleMode.PaperSymbolic)
-        rep = build_instance(p)
+        p = CounterexampleParams(s=2, x=1, y=2)
+        rep = size_report(p)
         assert isinstance(rep, SizeReport)
         assert rep.cells_per_formation == 592
         assert rep.cells_per_formation_per_joint == 148
 
     def test_cell_count_formulas(self):
-        p = CounterexampleParams(s=3, x=2, y=2,
-                                 scale_mode=ScaleMode.PaperSymbolic)
-        rep = build_instance(p)
+        p = CounterexampleParams(s=3, x=2, y=2)
+        rep = size_report(p)
         assert rep.cell_head_counts == (1, 6, 6)
         assert rep.cell_tail_counts == (12, 72, 72)
         assert rep.cell_stabilizers == 144

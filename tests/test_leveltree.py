@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -14,7 +15,6 @@ from simembed.leveltree import (
     region_candidates,
     search_level_planar,
     search_region_level_planar,
-    validate_region_system,
 )
 from simembed.model import RootedTree
 
@@ -95,6 +95,46 @@ class TestSearchLevelPlanar:
             b = search_level_planar(lt, grid_width=n, method="grid")
             assert a.status is b.status, (parent, phi)
 
+    def test_auto_out_of_budget_in_the_oracle(self):
+        # the oracle needs more than 400 nodes here, and the grid search
+        # alone would find a drawing after 260: auto has no budget left
+        lt = LevelTree.of(GADGET, (1, 3, 2, 4, 1, 4, 3, 1, 4, 1))
+        for method in ("combinatorial", "auto"):
+            res = search_level_planar(lt, 10, budget=400, method=method)
+            assert res.status is LevelStatus.BudgetExceeded
+            assert res.nodes == 400
+
+    def test_auto_grid_gets_what_the_oracle_left(self):
+        # long edges: the oracle is inconclusive and auto falls back to
+        # the grid, which may spend only the rest of the one budget
+        lt = LevelTree.of(GADGET, (1, 2, 2, 2, 1, 1, 3, 3, 3, 4))
+        comb = search_level_planar(lt, 6, method="combinatorial")
+        assert "inconclusive" in comb.note
+        grid = search_level_planar(lt, 6, method="grid")
+        assert grid.status is LevelStatus.Found
+        total = comb.nodes + grid.nodes
+        res = search_level_planar(lt, 6, budget=total)
+        assert res.status is LevelStatus.Found and res.nodes == total
+        res = search_level_planar(lt, 6, budget=total - 1)
+        assert res.status is LevelStatus.BudgetExceeded
+
+
+def gadget_automorphisms():
+    # permute the three depth-1 subtrees and swap the two leaves within
+    # each; 6 * 2^3 = 48 maps
+    branches = [(1, 4, 7), (2, 5, 8), (3, 6, 9)]
+    autos = []
+    for sigma in permutations(range(3)):
+        for sw in product((0, 1), repeat=3):
+            perm = {0: 0}
+            for i in range(3):
+                c1, a1, b1 = branches[i]
+                c2, a2, b2 = branches[sigma[i]]
+                perm[c1] = c2
+                perm[a1], perm[b1] = (b2, a2) if sw[i] else (a2, b2)
+            autos.append(tuple(perm[v] for v in range(10)))
+    return autos
+
 
 class TestLemma1Scan:
     def test_certified_list_nonempty_and_valid(self):
@@ -119,20 +159,44 @@ class TestLemma1Scan:
             rev = tuple(5 - x for x in phi)
             assert phi <= rev
 
+    def test_one_least_leveling_per_orbit(self):
+        # reference: the gadget's automorphisms written out by hand
+        tree, certified = lemma1_tree()
+        autos = gadget_automorphisms()
+        edges = {frozenset(e) for e in tree.edges()}
+        assert len(set(autos)) == 48
+        for a in autos:
+            assert {frozenset((a[u], a[v])) for u, v in edges} == edges
+        assert len(certified) == 171 and certified == sorted(certified)
+        seen = set()
+        for phi in certified:
+            orbit = set()
+            for a in autos:
+                img = [0] * 10
+                for v in range(10):
+                    img[a[v]] = phi[v]
+                orbit |= {tuple(img), tuple(5 - x for x in img)}
+            assert phi == min(orbit)
+            assert not orbit & seen
+            seen |= orbit
+
 
 class TestRegionSystem:
     def test_horizontal_positions(self):
         rs = RegionSystem.horizontal([0, 1, 2, 3])
         assert rs.positions() == [0, 1, 2, 3]
-        assert validate_region_system(rs).valid
 
     def test_non_parallel_rejected(self):
-        rs = RegionSystem.of([Line(0, 1, 0), Line(1, 0, 1)])
-        assert not validate_region_system(rs).valid
+        with pytest.raises(ValueError, match=r"lines cross \(non-parallel pair\)"):
+            RegionSystem.of([Line(0, 1, 0), Line(1, 0, 1)])
 
     def test_out_of_order_rejected(self):
-        rs = RegionSystem.horizontal([1, 0])
-        assert not validate_region_system(rs).valid
+        with pytest.raises(ValueError, match="lines 0 and 1 out of order"):
+            RegionSystem.horizontal([1, 0])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty region system"):
+            RegionSystem.of([])
 
     def test_candidates_strictly_interior(self):
         rs = RegionSystem.horizontal([0, 1, 2])
