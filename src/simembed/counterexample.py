@@ -11,7 +11,7 @@ defects, and EFs into a sequence of extended formations (SEF).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from math import comb, ceil
 from typing import Optional
 
@@ -133,7 +133,7 @@ class SequencePlan:
     def to_json(self) -> str:
         return json.dumps({
             "s": self.params_s,
-            "cells": [asdict(c) for c in self.cells],
+            "cells": [vars(c) for c in self.cells],
             "formations": self.formations,
             "efs": self.efs,
             "sef": self.sef,
@@ -406,20 +406,17 @@ def build_instance(p: CounterexampleParams):
             for c_id in plan.formations[f_id]["cells"]:
                 order.extend(plan.cells[c_id].path_order())
 
-    tree_edges = {frozenset((parent[v], v)) for v in range(len(parent))
-                  if parent[v] is not None}
-    used = set(order)
-    rest = [0] + joints + [v for v in range(len(parent))
-                           if v not in used and v != 0 and labels[v] is not Role.Joint]
-    rest = [v for v in rest if v not in used]
     # completion rule: root, joints ascending, remaining ascending; when an
     # appended edge would duplicate a tree edge, pair the offender with the
     # next non-adjacent vertex further down the list
+    used = set(order)
+    pool = [v for v in [0] + joints + [u for u in range(1, len(parent))
+                                      if labels[u] is not Role.Joint]
+            if v not in used]
     appended: list[int] = []
-    pool = list(rest)
 
     def adj(a, b) -> bool:
-        return a is not None and b is not None and frozenset((a, b)) in tree_edges
+        return a is not None and b is not None and (parent[a] == b or parent[b] == a)
 
     anchor = order[-1] if order else None
     while pool:
@@ -443,8 +440,8 @@ def build_instance(p: CounterexampleParams):
             raise InvalidParams("path completion cannot avoid tree edges")
     order.extend(appended)
 
-    tree = RootedTree.from_parent(parent, labels)
-    inst = Instance(tree, PathGraph.of(order), edge_disjoint_required=True)
+    inst = Instance(RootedTree.from_parent(parent, labels), PathGraph.of(order),
+                    edge_disjoint_required=True)
     return inst, plan
 
 
@@ -458,20 +455,16 @@ def derive_cells(i: Instance) -> list[dict]:
     appears on the path.  A 2-/3-vertex followed by a 1-vertex is a head
     member, one followed by a stabilizer a tail member.
     """
-    t = i.tree
-    order = i.path.order
-    try:
-        stop = order.index(t.root)
-    except ValueError:
-        stop = len(order)
+    t, order = i.tree, i.path.order
+    role = t.labels or (Role.Other,) * t.n
+    stop = order.index(t.root) if t.root in order else len(order)
     prefix = list(order[:stop])
     boundaries = [0]
     for idx in range(1, len(prefix)):
-        if (t.role(prefix[idx]) is Role.B1
-                and t.role(prefix[idx - 1]) is Role.Stabilizer):
+        if (role[prefix[idx]] is Role.B1
+                and role[prefix[idx - 1]] is Role.Stabilizer):
             boundaries.append(idx)
     boundaries.append(len(prefix))
-    depths = t.depths()
     cells = []
     for b, e in zip(boundaries, boundaries[1:]):
         seg = prefix[b:e]
@@ -479,26 +472,25 @@ def derive_cells(i: Instance) -> list[dict]:
                 "tail2": [], "tail3": [], "stab": [], "members": seg,
                 "joint": None, "ok": True}
         for idx, v in enumerate(seg):
-            role = t.role(v)
-            nxt = t.role(seg[idx + 1]) if idx + 1 < len(seg) else None
+            r = role[v]
+            nxt = role[seg[idx + 1]] if idx + 1 < len(seg) else None
             if idx == 0:
-                if role is Role.B1:
+                if r is Role.B1:
                     cell["head1"] = v
                 else:
                     cell["ok"] = False
                 continue
-            if role is Role.B1:
+            if r is Role.B1:
                 cell["tail1"].append(v)
-            elif role is Role.Stabilizer:
+            elif r is Role.Stabilizer:
                 cell["stab"].append(v)
-            elif role in (Role.B2, Role.B3):
+            elif r in (Role.B2, Role.B3):
                 part = "head" if nxt is Role.B1 else "tail"
-                cell[part + ("2" if role is Role.B2 else "3")].append(v)
+                cell[part + ("2" if r is Role.B2 else "3")].append(v)
             else:
                 cell["ok"] = False
-        anchor = cell["head1"] if cell["head1"] is not None else seg[0]
-        u = anchor
-        while t.parent[u] is not None and depths[u] > 1:
+        u = cell["head1"] if cell["head1"] is not None else seg[0]
+        while t.depth[u] > 1:
             u = t.parent[u]
         cell["joint"] = u
         cells.append(cell)
@@ -511,7 +503,8 @@ def validate_structure(i: Instance, p: CounterexampleParams,
     stabilizer totals, and the formation/EF/SEF orders with their defect
     schedules, reading the structure back off labels and the path."""
     rep = ValidationReport()
-    t = i.tree
+    parent, depth = i.tree.parent, i.tree.depth
+    role = i.tree.labels or (Role.Other,) * i.tree.n
     counts = _cell_counts(p.s)
     cells = derive_cells(i)
     expected_cells = p.joint_count() * p.cells_needed_per_joint()
@@ -535,14 +528,13 @@ def validate_structure(i: Instance, p: CounterexampleParams,
         # or a stabilizer
         seg = cell["members"]
         for k in range(2, len(seg), 2):
-            if t.role(seg[k]) not in (Role.B1, Role.Stabilizer):
+            if role[seg[k]] not in (Role.B1, Role.Stabilizer):
                 rep.add(f"cell {ci}: interleaving broken at offset {k}")
                 break
         anchors = {cell["joint"]}
-        for v in seg:
-            u = v
-            while t.parent[u] is not None and t.parent[u] != t.root:
-                u = t.parent[u]
+        for u in seg:
+            while depth[u] > 1:
+                u = parent[u]
             anchors.add(u)
         if len(anchors) != 1:
             rep.add(f"cell {ci}: members span joints {sorted(anchors)}")
@@ -552,9 +544,9 @@ def validate_structure(i: Instance, p: CounterexampleParams,
     sets = ceil(per_joint_cells / p.s)
     expect_stab = sets * p.s * counts["stabilizers"]
     stab_by_joint: dict[int, int] = {}
-    for v in range(t.n):
-        if t.role(v) is Role.Stabilizer:
-            stab_by_joint[t.parent[v]] = stab_by_joint.get(t.parent[v], 0) + 1
+    for v, r in enumerate(role):
+        if r is Role.Stabilizer:
+            stab_by_joint[parent[v]] = stab_by_joint.get(parent[v], 0) + 1
     for j in sorted(stab_by_joint):
         if stab_by_joint[j] != expect_stab:
             rep.add(f"joint at vertex {j}: {stab_by_joint[j]} stabilizers,"

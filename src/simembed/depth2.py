@@ -46,7 +46,7 @@ def _subpaths(i: Instance) -> tuple[list, list]:
 
 def plan_depth2(i: Instance) -> WedgePlan:
     t_ = i.tree
-    depth = max(t_.depths().values())
+    depth = max(t_.depth)
     if depth > 2:
         raise DepthExceeded(
             f"tree has depth {depth}; this construction handles depth at most 2"

@@ -396,17 +396,22 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     # flat-row reduction: when every region's candidates share one line
     # parallel to the system lines, any placement is a level drawing on
     # those rows, so the combinatorial ordering oracle settles the whole
-    # grid at once (and its negative answer covers every row position)
+    # grid at once (its negative answer covers every row position; else
+    # the placement search gets the budget it left)
     base0 = rs.lines[0]
     offsets = [{base0.A * p.x + base0.B * p.y for p in pts} for pts in grid]
+    meta = {"per_region_candidates": [len(c) for c in grid]}
+    onodes = 0
     if all(len(o) == 1 for o in offsets):
         ordering, onodes = _ordering_oracle(t, budget)
-        if ordering is None and onodes <= budget:
-            meta = {"per_region_candidates": [len(c) for c in grid],
-                    "flat_rows": True, "nodes": onodes,
-                    "claim": ("flat-row grid: every placement is a level "
-                              "drawing, and the ordering oracle excludes "
-                              "those on any parallel rows")}
+        meta.update(flat_rows=True, oracle_nodes=onodes)
+        if onodes > budget:
+            return SearchResult(RegionStatus.BudgetExceeded, nodes=budget,
+                                metadata=meta)
+        if ordering is None:
+            meta.update(nodes=onodes, claim=(
+                "flat-row grid: every placement is a level drawing, and the "
+                "ordering oracle excludes those on any parallel rows"))
             return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
                                 nodes=onodes, metadata=meta)
 
@@ -416,9 +421,10 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     cand = [icand[lv - 1] for lv in phi]
     syms = _square_symmetries(cand)
     after = _sibling_cut(t)
-    meta = {"per_region_candidates": [len(c) for c in grid],
-            "square_symmetries": len(syms), "sibling_cuts": len(after)}
-    found, nodes = _place(t.tree.preorder(), cand, [edges], budget, syms, after)
+    meta.update(square_symmetries=len(syms), sibling_cuts=len(after))
+    found, nodes = _place(t.tree.preorder(), cand, [edges], budget - onodes,
+                          syms, after)
+    nodes += onodes
     if nodes > budget:
         return SearchResult(RegionStatus.BudgetExceeded, nodes=nodes,
                             metadata=meta)

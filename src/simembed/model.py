@@ -32,42 +32,47 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class RootedTree:
+    """A rooted tree on 0..n-1, valid by construction (else FormatError):
+    `root` is the one None in `parent`, every other parent is a vertex, and
+    parents lead from every vertex to the root.  depth[v] is computed once."""
     n: int
     parent: tuple  # parent[v] is None for the root
     root: VertexId
     labels: tuple = ()  # Role per vertex, optional
+    depth: tuple = field(init=False, repr=False, compare=False)  # depth[v]
+
+    def __post_init__(self):
+        n, parent = self.n, self.parent
+        roots = [v for v, p in enumerate(parent) if p is None]
+        if roots != [self.root] or n != len(parent):
+            raise FormatError(f"expected one root and {n} parents, got roots"
+                              f" {roots[:3]} and {len(parent)} parents")
+        depth = [-1] * n  # -1 unseen, -2 on the chain being walked
+        depth[self.root] = 0
+        for v, u in enumerate(parent):
+            if u is not None and 0 <= u < n and depth[u] >= 0:
+                depth[v] = depth[u] + 1  # the common case: parent seen
+                continue
+            chain, u = [], v
+            while depth[u] == -1:
+                depth[u] = -2
+                chain.append(u)
+                u = parent[u]
+                if not 0 <= u < n or depth[u] == -2:
+                    raise FormatError("parent relation is not a rooted tree")
+            for d, w in enumerate(reversed(chain), depth[u] + 1):
+                depth[w] = d
+        object.__setattr__(self, "depth", tuple(depth))
 
     @staticmethod
     def from_parent(parent: Sequence[Optional[VertexId]],
                     labels: Optional[Sequence[Role]] = None) -> "RootedTree":
-        roots = [v for v, p in enumerate(parent) if p is None]
-        if len(roots) != 1:
-            raise FormatError(f"expected exactly one root, got {len(roots)}")
-        t = RootedTree(len(parent), tuple(parent), roots[0],
-                       tuple(labels) if labels else ())
-        t._check_acyclic()
-        return t
-
-    def _check_acyclic(self):
-        depth = self.depths()  # raises on cycles / bad parents
-        if len(depth) != self.n:
-            raise FormatError("tree not connected")
+        root = parent.index(None) if None in parent else None
+        return RootedTree(len(parent), tuple(parent), root,
+                          tuple(labels) if labels else ())
 
     def depths(self) -> dict[VertexId, int]:
-        depth = {self.root: 0}
-        for v in range(self.n):
-            chain = []
-            u = v
-            while u not in depth:
-                chain.append(u)
-                u = self.parent[u]
-                if u is None or not (0 <= u < self.n) or len(chain) > self.n:
-                    raise FormatError("parent relation is not a rooted tree")
-            d = depth[u]
-            for w in reversed(chain):
-                d += 1
-                depth[w] = d
-        return depth
+        return dict(enumerate(self.depth))
 
     @cached_property
     def _kids(self) -> tuple[tuple[VertexId, ...], ...]:
@@ -148,32 +153,29 @@ class ValidationReport:
         self.violations.append(msg)
 
 
-def _edge_set(edges) -> set[frozenset]:
-    return {frozenset(e) for e in edges}
-
-
 def validate_instance(i: Instance) -> ValidationReport:
-    """Total structural check; violations are reported, never thrown."""
+    """Check that the path is simple, spans the tree (valid by construction)
+    and, when required, shares no edge ab with it: parent[a] == b or
+    parent[b] == a.  Violations are reported, never thrown."""
     rep = ValidationReport()
-    t, p = i.tree, i.path
-    try:
-        RootedTree.from_parent(t.parent, t.labels or None)
-    except FormatError as e:
-        rep.add(f"tree invalid: {e}")
-    if len(set(p.order)) != len(p.order):
+    t, order = i.tree, i.path.order
+    vertices = set(order)
+    if len(vertices) != len(order):
         rep.add("path not simple")
-    if set(p.order) != set(range(t.n)):
+    if vertices != set(range(t.n)):
         rep.add("path does not span the vertex set")
     if i.edge_disjoint_required:
-        shared = _edge_set(t.edges()) & _edge_set(p.edges())
-        for e in sorted(tuple(sorted(s)) for s in shared):
+        par, n = t.parent, t.n
+        shared = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])
+                  if 0 <= a < n and 0 <= b < n and (par[a] == b or par[b] == a)}
+        for e in sorted(shared):
             rep.add(f"shared edge {e}")
     return rep
 
 
 def tree_depth(t: RootedTree) -> int:
     """Maximum root-to-vertex distance (bends along root paths = depth - 1)."""
-    return max(t.depths().values())
+    return max(t.depth)
 
 
 # --- .sge instance format -------------------------------------------------

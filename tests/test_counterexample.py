@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
 from simembed.counterexample import (
@@ -15,7 +18,8 @@ from simembed.counterexample import (
     size_report,
     validate_structure,
 )
-from simembed.model import PathGraph, Instance, Role, validate_instance, tree_depth
+from simembed.model import (PathGraph, Instance, Role, dump_instance,
+                            load_instance, validate_instance, tree_depth)
 
 
 def reduced(s, x, **kw):
@@ -157,6 +161,32 @@ class TestDeskBuild:
         _, plan = build_instance(reduced(2, 1))
         back = SequencePlan.from_json(plan.to_json())
         assert back.to_json() == plan.to_json()
+        assert back == plan
+
+    @pytest.mark.parametrize("p", [reduced(2, 1), reduced(3, 1, formation_reps=1)])
+    def test_plan_json_matches_asdict_serialization(self, p):
+        _, plan = build_instance(p)
+        reference = json.dumps({
+            "s": plan.params_s, "cells": [asdict(c) for c in plan.cells],
+            "formations": plan.formations, "efs": plan.efs, "sef": plan.sef,
+        }, indent=None, separators=(",", ":"))
+        assert plan.to_json() == reference
+        assert SequencePlan.from_json(plan.to_json()) == plan
+
+    def test_largest_desk_pipeline(self):
+        # build, dump, load, plan round trip and both validators at the
+        # largest desk parameters the benchmark generates
+        p = CounterexampleParams(s=3, x=2, y=4, formation_reps=2,
+                                 formation_outer=1, sef_tuple=2, sef_efs=2,
+                                 sef_reps=4)
+        inst, plan = build_instance(p)
+        back = load_instance(dump_instance(inst), edge_disjoint_required=True)
+        plan_back = SequencePlan.from_json(plan.to_json())
+        assert back == inst and plan_back == plan
+        assert validate_structure(back, p, plan_back).valid
+        assert validate_instance(back).valid
+        assert inst.tree.n == 45_297
+        assert len(plan.cells) == 144
 
 
 class TestValidatorCatchesMutations:

@@ -257,6 +257,21 @@ class TestRegionSearch:
         res = search_region_level_planar(lt, rs, grid, budget=50_000_000)
         assert res.status is RegionStatus.Found
 
+    def test_flat_rows_spend_one_budget(self):
+        # the ordering oracle spends 485 nodes and finds orderings, then
+        # the placement search finds a drawing after 112 more
+        lt = LevelTree.of(GADGET, (1, 3, 2, 4, 1, 4, 3, 1, 4, 1))
+        rs = RegionSystem.horizontal([0, 1, 2, 3])
+        grid = [[Point(Fraction(x), Fraction(2 * i - 1, 2)) for x in range(1, 8)]
+                for i in range(4)]
+        res = search_region_level_planar(lt, rs, grid, budget=597)
+        assert (res.status, res.nodes) == (RegionStatus.Found, 597)
+        assert res.metadata["oracle_nodes"] == 485
+        res = search_region_level_planar(lt, rs, grid, budget=596)
+        assert res.status is RegionStatus.BudgetExceeded
+        res = search_region_level_planar(lt, rs, grid, budget=100)
+        assert (res.status, res.nodes) == (RegionStatus.BudgetExceeded, 100)
+
     def test_exhausted_reports_grid_metadata(self):
         lt = LevelTree.of(GADGET, (2, 4, 4, 3, 1, 1, 1, 1, 1, 1))
         rs = RegionSystem.horizontal([0, 1, 2, 3])

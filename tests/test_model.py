@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simembed.geom import Point
 from simembed.model import (
@@ -49,14 +50,120 @@ class TestValidateInstance:
         assert any("span" in v for v in rep.violations)
 
 
+def reference_violations(i):
+    """validate_instance's list, with edge-disjointness decided by
+    intersecting frozenset edge sets."""
+    t, order = i.tree, list(i.path.order)
+    out = []
+    if len(set(order)) != len(order):
+        out.append("path not simple")
+    if set(order) != set(range(t.n)):
+        out.append("path does not span the vertex set")
+    if i.edge_disjoint_required:
+        tree = {frozenset((t.parent[v], v)) for v in range(t.n)
+                if t.parent[v] is not None}
+        path = {frozenset(e) for e in zip(order, order[1:])}
+        out += [f"shared edge {e}" for e in sorted(tuple(sorted(s))
+                                                   for s in tree & path)]
+    return out
+
+
+@st.composite
+def instances(draw):
+    # a random tree, its vertices relabeled so the root varies, and a path
+    # that is a spanning order, a walk along tree edges, or any list,
+    # repeated and out-of-range vertices included
+    n = draw(st.integers(1, 7))
+    shape = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    name = draw(st.permutations(range(n)))
+    parent = [None] * n
+    for v, p in enumerate(shape):
+        parent[name[v]] = None if p is None else name[p]
+    t = RootedTree.from_parent(parent)
+    walk = [draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u = walk[-1]
+        walk.append(draw(st.sampled_from(
+            t.children(u) + [u if u == t.root else t.parent[u]])))
+    order = draw(st.one_of(st.permutations(range(n)), st.just(walk),
+                           st.lists(st.integers(-2, n + 1), max_size=n + 2)))
+    return Instance(t, PathGraph.of(order), draw(st.booleans()))
+
+
+class TestValidateInstanceDifferential:
+    @settings(max_examples=400)
+    @given(instances())
+    @example(Instance(star(3), PathGraph.of([1, 0, 2, 0, 3, -1, 7]), True))
+    @example(Instance(star(3), PathGraph.of([3, 0, 1, 0, 2]), True))
+    def test_matches_edge_set_reference(self, inst):
+        assert validate_instance(inst).violations == reference_violations(inst)
+
+    def test_out_of_range_vertices_are_not_tree_edges(self):
+        # parent[-1] is parent[2] == 1 if read from the end of the tuple,
+        # and parent[3] is out of range
+        inst = Instance(RootedTree.from_parent([None, 0, 1]),
+                        PathGraph.of([-1, 1, 3, 0]), True)
+        assert validate_instance(inst).violations == [
+            "path does not span the vertex set"]
+
+
+def rejected_both_ways(parent):
+    with pytest.raises(FormatError):
+        RootedTree.from_parent(parent)
+    with pytest.raises(FormatError):
+        RootedTree(len(parent), tuple(parent),
+                   parent.index(None) if None in parent else 0)
+
+
 class TestRootedTree:
     def test_two_roots_rejected(self):
-        with pytest.raises(FormatError):
-            RootedTree.from_parent([None, None, 0])
+        rejected_both_ways([None, None, 0])
 
     def test_cycle_rejected(self):
+        rejected_both_ways([None, 2, 1])
+        rejected_both_ways([None, 0, 3, 2])  # below a rooted part
+
+    @pytest.mark.parametrize("parent", [[0, 1], [None, 0, 3], [None, 0, -1]])
+    def test_no_root_or_parent_out_of_range_rejected(self, parent):
+        # -1 would otherwise be read from the end of the tuple
+        rejected_both_ways(parent)
+
+    @pytest.mark.parametrize("n,root", [(4, 0), (3, 1)])
+    def test_direct_construction_checks_n_and_root(self, n, root):
         with pytest.raises(FormatError):
-            RootedTree.from_parent([None, 2, 1])
+            RootedTree(n, (None, 0, 0), root)
+
+    @settings(max_examples=400)
+    @given(st.lists(st.one_of(st.none(), st.integers(-1, 7)), min_size=1,
+                    max_size=7))
+    def test_accepts_exactly_the_rooted_trees(self, parent):
+        # reference: one root, and a walk up from every vertex reaches it
+        # within n steps through vertices in range
+        n, walk = len(parent), {}
+        for v in range(n):
+            u, d = v, 0
+            while d <= n and 0 <= u < n and parent[u] is not None:
+                u, d = parent[u], d + 1
+            walk[v] = d if d <= n and 0 <= u < n else None
+        if parent.count(None) == 1 and None not in walk.values():
+            assert RootedTree.from_parent(parent).depths() == walk
+        else:
+            rejected_both_ways(parent)
+
+    @pytest.mark.parametrize("parent", [
+        [None], [None, 0, 0, 0, 0, 0], [None, 0, 1, 1],
+        [3, 3, 0, None, 0, 1], [None, 0, 0, 0, 1, 2, 3, 1, 2, 3]])
+    def test_depths_match_a_walk_to_the_root(self, parent):
+        t = RootedTree.from_parent(parent)
+        walk = {}
+        for v in range(len(parent)):
+            u, d = v, 0
+            while parent[u] is not None:
+                u, d = parent[u], d + 1
+            walk[v] = d
+        assert t.depths() == walk
+        assert t.depth == tuple(walk[v] for v in range(len(parent)))
+        assert tree_depth(t) == max(walk.values())
 
     def test_children(self):
         t = RootedTree.from_parent([None, 0, 0, 1])
