@@ -7,33 +7,36 @@ root-polyline must traverse), channels (the region between the bending
 paths of neighbouring joints), cuts (path edges connecting or slicing
 channel segments), and connections between channel segments.
 
-Everything is exact; nothing here searches for drawings.  The intended
-inputs are small hand-built witness configurations.
+Everything is exact; nothing here searches for drawings.  Each entry
+point clears the denominators of the whole drawing at once and runs every
+sign test on integer points; Points appear only in the objects returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .geom import (
-    _closest_point_on_segment,
+    _BAD,
     _features,
-    _on_closed_segment,
+    _sign,
     Point,
     Position,
     Relation,
-    Segment,
-    cross3,
-    convex_hull,
-    linear_separator,
-    point_in_convex_polygon,
-    point_in_triangle,
-    segment_relation,
+    int_convex_hull,
+    int_coords,
+    int_cross,
+    int_on_segment,
+    int_point_in_convex_polygon,
+    int_point_in_triangle,
+    int_relation,
+    int_separable,
 )
-from .model import Drawing, Instance
+from .model import Drawing, FormatError, Instance
 
 
 class AnalyzerError(ValueError):
@@ -75,6 +78,20 @@ class ConnectionKind(Enum):
     TwoSideHigh = "2-side-high"
 
 
+class _Ints(dict):
+    """Vertex -> integer point for all of d, and Point -> integer point
+    (`of`) for the `extra` points, from one int_coords call."""
+
+    def __init__(self, d: Drawing, extra=()):
+        pts = [*d.pos.values(), *extra]
+        ints = int_coords(pts)
+        super().__init__(zip(d.pos, ints))
+        self.of = dict(zip(pts[len(d.pos):], ints[len(d.pos):]))
+
+    def __missing__(self, v):
+        raise FormatError(f"vertex {v} is not drawn")
+
+
 # --- passages -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -91,10 +108,9 @@ class Passage:
     crossed_sep_edges: tuple = ()
 
 
-def _relations(e: Segment, polyline: Sequence[Point]) -> list[Relation]:
-    """The relation of segment e with each edge of the polyline."""
-    return [segment_relation(e, Segment(p, q))
-            for p, q in zip(polyline, polyline[1:])]
+def _relations(a, b, polyline) -> list[Relation]:
+    """The relation of segment ab with each edge of the polyline."""
+    return [int_relation(a, b, p, q) for p, q in zip(polyline, polyline[1:])]
 
 
 def _check_plan(i: Instance, d: Drawing, plan) -> None:
@@ -117,6 +133,7 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     Degenerate contacts disqualify the candidate polyline.
     """
     _check_plan(i, d, plan)
+    ic = _Ints(d)
     tree_edges = i.tree.edges()
     out = []
     for a in range(len(plan.cells)):
@@ -125,25 +142,24 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
             if ca.joint != cb.joint:
                 continue
             va, vb = ca.path_order(), cb.path_order()
-            pa = [d.point(v) for v in va]
-            pb = [d.point(v) for v in vb]
-            if linear_separator(pa, pb) is not None:
+            pa = [ic[v] for v in va]
+            pb = [ic[v] for v in vb]
+            if int_separable(pa, pb):
                 continue
             for s, cs in enumerate(plan.cells):
                 if cs.joint == ca.joint:
                     continue
                 vs = cs.path_order()
-                poly = [d.point(v) for v in vs]
-                if len(poly) < 3:
-                    continue
-                if not _separates(pa, pb, poly):
+                poly = [ic[v] for v in vs]
+                if len(poly) < 3 or not _separates(pa, pb, poly):
                     continue
                 crossed = _crossed_polyline_edges(
-                    tree_edges, set(va), set(vb), d, poly)
+                    tree_edges, set(va), set(vb), ic, poly)
                 out.append(Passage(
                     c1=a, c2=b, c_sep=s, joint=ca.joint, sep_joint=cs.joint,
                     c1_vertices=tuple(va), c2_vertices=tuple(vb),
-                    sep_vertices=tuple(vs), polyline=tuple(poly),
+                    sep_vertices=tuple(vs),
+                    polyline=tuple(d.point(v) for v in vs),
                     crossed_sep_edges=crossed))
     return out
 
@@ -152,7 +168,7 @@ def _separates(pa: list, pb: list, poly: list) -> bool:
     def parity(p, q):
         """Proper crossings of pq with the polyline mod 2, or None on a
         degenerate contact (touch/overlap/vertex hit)."""
-        rels = _relations(Segment(p, q), poly)
+        rels = _relations(p, q, poly)
         if Relation.Touching in rels or Relation.Overlapping in rels:
             return None
         return rels.count(Relation.ProperCrossing) % 2
@@ -162,14 +178,14 @@ def _separates(pa: list, pb: list, poly: list) -> bool:
     return all(parity(p, q) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
 
 
-def _crossed_polyline_edges(tree_edges, set1, set2, d, poly) -> tuple:
+def _crossed_polyline_edges(tree_edges, set1, set2, ic, poly) -> tuple:
     """Indices of polyline edges properly crossed by tree edges joining
     the two cell vertex sets."""
     hit = set()
     for u, v in tree_edges:
         if not ((u in set1 and v in set2) or (u in set2 and v in set1)):
             continue
-        rels = _relations(Segment(d.point(u), d.point(v)), poly)
+        rels = _relations(ic[u], ic[v], poly)
         hit.update(e for e, rel in enumerate(rels)
                    if rel is Relation.ProperCrossing)
     return tuple(sorted(hit))
@@ -205,39 +221,30 @@ def enumerate_doors(p: Passage, i: Instance, d: Drawing) -> list[Door]:
     smaller tree distance from the separating joint.  The door is closed
     when a tree edge at the apex crosses the base segment.
     """
-    hull = convex_hull([d.point(v) for v in p.c1_vertices + p.c2_vertices])
+    ic = _Ints(d)
+    hull = int_convex_hull([ic[v] for v in p.c1_vertices + p.c2_vertices])
     dist = {v: _tree_distance(i, v, p.sep_joint) for v in p.sep_vertices}
     others = set(p.c1_vertices) | set(p.c2_vertices)
-    adj = [e for e in i.tree.edges()]
+    tree_edges = i.tree.edges()
     out = []
     for apex in sorted(p.sep_vertices):
-        pv = d.point(apex)
-        if point_in_convex_polygon(pv, hull) is not Position.Inside:
+        pv = ic[apex]
+        if int_point_in_convex_polygon(pv, hull) is not Position.Inside:
             continue
-        nearer = [d.point(w) for w in p.sep_vertices
+        nearer = [ic[w] for w in p.sep_vertices
                   if w != apex and dist[w] < dist[apex]]
+        ends = [ic[v if u == apex else u] for u, v in tree_edges if apex in (u, v)]
         for w1 in sorted(p.c1_vertices):
             for w2 in sorted(p.c2_vertices):
-                tri = (pv, d.point(w1), d.point(w2))
-                if cross3(*tri) == 0:
+                tri = (pv, ic[w1], ic[w2])
+                if int_cross(*tri) == 0:
                     continue
-                blocked = any(
-                    point_in_triangle(d.point(w), tri) is Position.Inside
-                    for w in others if w not in (w1, w2))
-                if blocked or any(point_in_triangle(q, tri) is Position.Inside
-                                  for q in nearer):
+                inner = [ic[w] for w in others if w not in (w1, w2)] + nearer
+                if any(int_point_in_triangle(q, tri) is Position.Inside
+                       for q in inner):
                     continue
-                base = Segment(d.point(w1), d.point(w2))
-                closed = False
-                for u, v in adj:
-                    if apex not in (u, v):
-                        continue
-                    other = v if u == apex else u
-                    rel = segment_relation(Segment(pv, d.point(other)), base)
-                    if rel in (Relation.ProperCrossing, Relation.Touching,
-                               Relation.Overlapping):
-                        closed = True
-                        break
+                closed = any(int_relation(pv, q, tri[1], tri[2]) in _BAD
+                             for q in ends)
                 out.append(Door(apex, (w1, w2),
                                 DoorStatus.Closed if closed else DoorStatus.Open))
     return out
@@ -302,20 +309,19 @@ def _root_leaf_paths(i: Instance, joint: int) -> list[tuple]:
     return sorted(paths)
 
 
-def _encloses(d: Drawing, path: tuple, k: int, q: Point) -> bool:
-    u, v, w = (d.point(path[k - 1]), d.point(path[k]), d.point(path[k + 1]))
-    if cross3(u, v, w) == 0:
+def _encloses(ic: _Ints, path: tuple, k: int, q) -> bool:
+    tri = (ic[path[k - 1]], ic[path[k]], ic[path[k + 1]])
+    if int_cross(*tri) == 0:
         return False
-    return point_in_triangle(q, (u, v, w)) is Position.Inside
+    return int_point_in_triangle(q, tri) is Position.Inside
 
 
-def _mutual_prefix(d: Drawing, pa: tuple, pb: tuple) -> int:
+def _mutual_prefix(ic: _Ints, pa: tuple, pb: tuple) -> int:
     """Length of the initial run of bend indices at which one path's bend
     strictly encloses the other's."""
     x = 0
     for k in range(1, min(len(pa), len(pb)) - 1):
-        if _encloses(d, pa, k, d.point(pb[k])) \
-                or _encloses(d, pb, k, d.point(pa[k])):
+        if _encloses(ic, pa, k, ic[pb[k]]) or _encloses(ic, pb, k, ic[pa[k]]):
             x += 1
         else:
             break
@@ -353,6 +359,7 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     """
     if len(joints) < 3:
         raise TooFewJoints("channels need at least three joints")
+    ic = _Ints(d)
     out = []
     for idx in range(1, len(joints) - 1):
         best = None
@@ -361,7 +368,7 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
             for pb in right:
                 if len(pa) < 2 or len(pb) < 2:
                     continue
-                x = _mutual_prefix(d, pa, pb)
+                x = _mutual_prefix(ic, pa, pb)
                 key = (-x, pa, pb)
                 if best is None or key < best[0]:
                     best = (key, pa, pb, x)
@@ -374,107 +381,118 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     return out
 
 
-def _side(anchor: Point, direction: Point, q: Point):
-    return cross3(anchor, anchor + direction, q)
+def _channel_points(ch: Channel) -> list:
+    """ch's root and every point of its segments, ray directions included."""
+    return [ch.root] + [p for s in ch.segments
+                        for p in s.vertices + sum(s.rays or (), ())]
 
 
-def _in_polygon(q: Point, poly: tuple) -> bool:
+def _on_ints(ch: Channel, of: dict):
+    """ch's root and segments on integer points: every point, ray
+    directions included, mapped through `of`."""
+    return of[ch.root], [
+        ChannelSegment(s.index, tuple(of[p] for p in s.vertices),
+                       s.rays and tuple((of[o], of[v]) for o, v in s.rays))
+        for s in ch.segments]
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _side(anchor, direction, q) -> int:
+    return _cross(direction, _sub(q, anchor))
+
+
+def _in_polygon(q, poly: tuple) -> bool:
     """Strict even-odd membership; boundary points count as outside."""
-    for p, r in zip(poly, poly[1:] + poly[:1]):
-        if _on_closed_segment(q, Segment(p, r)):
-            return False
+    edges = _features(poly)
+    if any(int_on_segment(q, p, r) for p, r in edges):
+        return False
     inside = False
-    for p, r in zip(poly, poly[1:] + poly[:1]):
-        if (p.y > q.y) != (r.y > q.y):
-            t = (q.y - p.y) / (r.y - p.y)
-            if q.x < p.x + t * (r.x - p.x):
-                inside = not inside
+    for p, r in edges:
+        if (p[1] > q[1]) != (r[1] > q[1]):
+            c = int_cross(p, r, q)  # q lies left of the edge's crossing
+            inside ^= c != 0 and (c > 0) == (r[1] > p[1])
     return inside
 
 
-def segment_contains(ch: Channel, seg: ChannelSegment, q: Point) -> bool:
+def _contains(root, seg: ChannelSegment, q) -> bool:
     """Strict membership of a point in a channel segment region."""
     if seg.rays is None:
         return _in_polygon(q, seg.vertices)
     (oa, da), (ob, db) = seg.rays
     if len(seg.vertices) == 1:  # bend-free channel: the root wedge
-        sa, sb = _side(oa, da, ob + db), _side(ob, db, oa + da)
+        sa = _side(oa, da, (ob[0] + db[0], ob[1] + db[1]))
+        sb = _side(ob, db, (oa[0] + da[0], oa[1] + da[1]))
         return (_side(oa, da, q) * sa > 0) and (_side(ob, db, q) * sb > 0)
     ga, gb = seg.vertices
-    root_side = cross3(ga, gb, ch.root)
-    if cross3(ga, gb, q) * root_side >= 0:
+    if int_cross(ga, gb, q) * int_cross(ga, gb, root) >= 0:
         return False
     return (_side(oa, da, q) * _side(oa, da, ob) > 0
             and _side(ob, db, q) * _side(ob, db, oa) > 0)
 
 
+def _segment_of(root, segs, q) -> Optional[int]:
+    return next((s.index for s in segs if _contains(root, s, q)), None)
+
+
 def segment_of(ch: Channel, q: Point) -> Optional[int]:
-    for seg in ch.segments:
-        if segment_contains(ch, seg, q):
-            return seg.index
-    return None
+    """The index of the segment of ch that strictly contains q, or None."""
+    pts = [q, *_channel_points(ch)]
+    of = dict(zip(pts, int_coords(pts)))
+    return _segment_of(*_on_ints(ch, of), of[q])
 
 
-def _line_hits_segment_region(a: Point, b: Point, seg: ChannelSegment) -> bool:
+def _line_hits_segment_region(a, b, seg: ChannelSegment) -> bool:
     """Does the full line through a, b meet the (convex) region?"""
-    pts, rays = seg.vertices, seg.rays or ()
-    signs = set()
-    for q in pts:
-        c = cross3(a, b, q)
-        signs.add((c > 0) - (c < 0))
-    for origin, direction in rays:
-        c0 = cross3(a, b, origin)
-        cd = (b - a).cross(direction)
-        signs.add((c0 > 0) - (c0 < 0))
+    signs = {_sign(int_cross(a, b, q)) for q in seg.vertices}
+    for origin, direction in (seg.rays or ()):
+        signs.add(_sign(int_cross(a, b, origin)))
+        cd = _cross(_sub(b, a), direction)
         if cd != 0:
-            signs.add((cd > 0) - (cd < 0))
+            signs.add(_sign(cd))
     return 0 in signs or (1 in signs and -1 in signs)
 
 
-def _ray_segment_hit(origin: Point, direction: Point, s: Segment) -> bool:
-    d2 = s.b - s.a
-    den = direction.cross(d2)
+def _ray_segment_hit(origin, direction, a, b) -> bool:
+    e = _sub(b, a)
+    den = _cross(direction, e)
     if den == 0:
         return False  # parallel; degenerate overlaps ignored
-    w = s.a - origin
-    t = w.cross(d2) / den
-    u = w.cross(direction) / den
-    return t >= 0 and 0 <= u <= 1
+    w = _sub(a, origin)
+    t, u = _cross(w, e), _cross(w, direction)
+    if den < 0:
+        den, t, u = -den, -t, -u
+    return t >= 0 and 0 <= u <= den
 
 
-def _ray_ray_hit(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
-    den = d1.cross(d2)
-    w = o2 - o1
+def _ray_ray_hit(o1, d1, o2, d2) -> bool:
+    den = _cross(d1, d2)
+    w = _sub(o2, o1)
     if den == 0:
-        return w.cross(d1) == 0 and (w.dot(d1) >= 0 or w.dot(d2) <= 0)
-    t = w.cross(d2) / den
-    s = w.cross(d1) / den
-    return t >= 0 and s >= 0
+        return _cross(w, d1) == 0 and (
+            w[0] * d1[0] + w[1] * d1[1] >= 0 or w[0] * d2[0] + w[1] * d2[1] <= 0)
+    t, s = _cross(w, d2), _cross(w, d1)
+    return t * den >= 0 and s * den >= 0
 
 
-def _segment_hits_region(ch: Channel, e: Segment, seg: ChannelSegment) -> bool:
-    if segment_contains(ch, seg, e.a) or segment_contains(ch, seg, e.b):
-        return True
-    for s in _features(seg.vertices):
-        if segment_relation(e, s) is Relation.ProperCrossing:
-            return True
-    for origin, direction in (seg.rays or ()):
-        if _ray_segment_hit(origin, direction, e):
-            return True
-    return False
+def _segment_hits_region(root, a, b, seg: ChannelSegment) -> bool:
+    return (_contains(root, seg, a) or _contains(root, seg, b)
+            or any(int_relation(a, b, *s) is Relation.ProperCrossing
+                   for s in _features(seg.vertices))
+            or any(_ray_segment_hit(o, v, a, b) for o, v in seg.rays or ()))
 
 
-def _ray_hits_region(ch: Channel, origin: Point, direction: Point,
-                     seg: ChannelSegment) -> bool:
-    if segment_contains(ch, seg, origin):
-        return True
-    for s in _features(seg.vertices):
-        if _ray_segment_hit(origin, direction, s):
-            return True
-    for o2, d2 in (seg.rays or ()):
-        if _ray_ray_hit(origin, direction, o2, d2):
-            return True
-    return False
+def _ray_hits_region(root, origin, direction, seg: ChannelSegment) -> bool:
+    return (_contains(root, seg, origin)
+            or any(_ray_segment_hit(origin, direction, *s)
+                   for s in _features(seg.vertices))
+            or any(_ray_ray_hit(origin, direction, o, v) for o, v in seg.rays or ()))
 
 
 # --- cuts -----------------------------------------------------------------
@@ -488,11 +506,15 @@ class CutEvent:
     extremal: bool = False
 
 
-def _wall(ch: Channel, d: Drawing, h: int):
-    """The two wall segments bounding channel segment h (1-based)."""
-    pa = [d.point(v) for v in ch.path_a]
-    pb = [d.point(v) for v in ch.path_b]
-    return Segment(pa[h - 1], pa[h]), Segment(pb[h - 1], pb[h])
+def _gap(gate, a, b) -> Fraction:
+    """Four times the squared distance from the midpoint of gate to the
+    closed segment ab: doubled, the points stay integral."""
+    w = (gate[0][0] + gate[1][0] - 2 * a[0], gate[0][1] + gate[1][1] - 2 * a[1])
+    e = (2 * (b[0] - a[0]), 2 * (b[1] - a[1]))
+    t, n = w[0] * e[0] + w[1] * e[1], e[0] ** 2 + e[1] ** 2
+    if t >= n:  # nearest to b
+        w, t = _sub(w, e), 0
+    return Fraction((w[0] ** 2 + w[1] ** 2) * n - max(t, 0) ** 2, n)
 
 
 def _vertex_to_ef(plan) -> dict:
@@ -519,47 +541,43 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
     double cut of the same group (same extended formation when a plan is
     given) lies closer to the bending area between the two segments.
     """
+    ic = _Ints(d, [p for ch in channels for p in _channel_points(ch)])
+    regions = [_on_ints(ch, ic.of) for ch in channels]
     events = []
     doubles = []
     owner = _vertex_to_ef(plan)
     for u, v in i.path.edges():
         if u not in d.pos or v not in d.pos:
             continue
-        e = Segment(d.point(u), d.point(v))
+        a, b = ic[u], ic[v]
         homes = []
-        for ch in channels:
-            su, sv = segment_of(ch, e.a), segment_of(ch, e.b)
+        for ch, (root, segs) in zip(channels, regions):
+            su, sv = _segment_of(root, segs, a), _segment_of(root, segs, b)
             if su is not None and sv is not None and abs(su - sv) == 1:
                 homes.append((ch, tuple(sorted((su, sv)))))
         for ch, span in homes:
             for other in channels:
                 if other.joint == ch.joint:
                     continue
-                pa = [d.point(w) for w in other.path_a]
-                pb = [d.point(w) for w in other.path_b]
-                rels = _relations(e, pa) + _relations(e, pb)
+                rels = [rel for path in (other.path_a, other.path_b)
+                        for rel in _relations(a, b, [ic[w] for w in path])]
                 if rels.count(Relation.ProperCrossing) >= 2:
                     events.append(CutEvent(CutKind.BlockingCut, (u, v),
                                            other.joint, span))
-        for ch in channels:
-            for h in range(1, len(ch.segments)):
-                wa, wb = _wall(ch, d, h)
-                crossed = any(
-                    segment_relation(e, w) is Relation.ProperCrossing
-                    for w in (wa, wb))
-                if not crossed:
+        for ch, (root, segs) in zip(channels, regions):
+            for h in range(1, len(segs)):
+                # the two walls bounding segment h
+                if all(int_relation(a, b, ic[p[h - 1]], ic[p[h]])
+                       is not Relation.ProperCrossing
+                       for p in (ch.path_a, ch.path_b)):
                     continue
-                nxt = ch.segments[h]
-                if not _line_hits_segment_region(e.a, e.b, nxt):
+                nxt = segs[h]
+                if not _line_hits_segment_region(a, b, nxt):
                     continue
-                simple = not _segment_hits_region(ch, e, nxt)
+                simple = not _segment_hits_region(root, a, b, nxt)
                 kind = CutKind.DoubleCutSimple if simple \
                     else CutKind.DoubleCutNonSimple
-                gate = ch.gates[h - 1]
-                mid = Point((gate[0].x + gate[1].x) / 2,
-                            (gate[0].y + gate[1].y) / 2)
-                near = _closest_point_on_segment(mid, e)
-                dist = (near - mid).dot(near - mid)
+                dist = _gap([ic.of[g] for g in ch.gates[h - 1]], a, b)
                 group = (ch.joint, h, owner.get(u, owner.get(v)))
                 doubles.append((group, dist, CutEvent(kind, (u, v),
                                                       ch.joint, (h, h + 1))))
@@ -582,14 +600,6 @@ class ConnectionReport:
     entries: dict = field(default_factory=dict)  # (a, b) -> ConnectionKind
 
 
-def _elongations(ch: Channel, d: Drawing, a: int):
-    """The two wall-extension rays of segment a beyond its outer gate."""
-    pa = [d.point(v) for v in ch.path_a]
-    pb = [d.point(v) for v in ch.path_b]
-    ga, gb = pa[a], pb[a]
-    return ((ga, ga - pa[a - 1]), (gb, gb - pb[a - 1]))
-
-
 def classify_connections(channels: Sequence[Channel],
                          d: Drawing) -> list[ConnectionReport]:
     """For every non-consecutive ordered segment pair (a, b) of each
@@ -599,25 +609,25 @@ def classify_connections(channels: Sequence[Channel],
     bendpoint closer to the root.  Consecutive pairs are omitted (they
     share a gate and never form a 2-side connection).
     """
+    ic = _Ints(d, [p for ch in channels for p in _channel_points(ch)])
     out = []
     for ch in channels:
+        root, segs = _on_ints(ch, ic.of)
         rep = ConnectionReport(ch.joint)
-        n = len(ch.segments)
+        n = len(segs)
         for a in range(1, min(n, ch.x + 1)):  # segments with an outer gate
-            ra, rb = _elongations(ch, d, a)
-            da2 = (ra[0] - ch.root).dot(ra[0] - ch.root)
-            db2 = (rb[0] - ch.root).dot(rb[0] - ch.root)
+            # the two wall-extension rays of segment a beyond its outer gate
+            rays = [(ic[p[a]], _sub(ic[p[a]], ic[p[a - 1]]))
+                    for p in (ch.path_a, ch.path_b)]
+            dist2 = [(o[0] - root[0]) ** 2 + (o[1] - root[1]) ** 2 for o, _ in rays]
             for b in range(1, n + 1):
                 if abs(a - b) < 2:
                     continue
-                hits = []
-                for origin_dir, dist2 in ((ra, da2), (rb, db2)):
-                    if _ray_hits_region(ch, origin_dir[0], origin_dir[1],
-                                        ch.segments[b - 1]):
-                        hits.append(dist2)
+                hits = [dd for (o, v), dd in zip(rays, dist2)
+                        if _ray_hits_region(root, o, v, segs[b - 1])]
                 if not hits:
                     rep.entries[(a, b)] = ConnectionKind.OneSide
-                elif min(hits) == min(da2, db2):
+                elif min(hits) == min(dist2):
                     rep.entries[(a, b)] = ConnectionKind.TwoSideLow
                 else:
                     rep.entries[(a, b)] = ConnectionKind.TwoSideHigh

@@ -52,6 +52,7 @@ EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+CHECK_WITNESSES = 20  # violations listed per graph by check --format records
 
 
 # --- SVG rendering --------------------------------------------------------
@@ -213,6 +214,15 @@ def cmd_check(args) -> int:
            "tree_vertex_on_edge": len(tr.vertex_on_edge),
            "path_vertex_on_edge": len(pr.vertex_on_edge),
            "clean": clean}
+    # witnesses, at most CHECK_WITNESSES of each kind per graph; the
+    # counts above are the totals
+    for g, rep in (("tree", tr), ("path", pr)):
+        rec[g + "_crossing_witnesses"] = [
+            {"edges": [list(e), list(f)], "relation": rel.value}
+            for e, f, rel in rep.crossings[:CHECK_WITNESSES]]
+        rec[g + "_vertex_on_edge_witnesses"] = [
+            {"vertex": v, "edge": list(e)}
+            for v, e in rep.vertex_on_edge[:CHECK_WITNESSES]]
     _emit(args, rec,
           ("clean" if clean else "VIOLATIONS") + ": "
           f"tree planar={tr.planar} ({rec['tree_crossings']} crossings), "

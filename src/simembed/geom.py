@@ -1,9 +1,11 @@
 """Exact rational 2D geometry kernel.
 
-Every predicate works on exact rationals (``fractions.Fraction``), or on
-integer points obtained from them by clearing denominators; no floating
-point ever enters a sign computation.  All values are immutable
-and safe to share between threads.
+Every predicate has one implementation, on integer points: a caller with
+exact rationals (``fractions.Fraction``) clears the denominators of all
+its points at once (``int_coords``), and the public ``Point`` predicates
+below do exactly that for their own arguments.  No floating point ever
+enters a sign computation.  All values are immutable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class Point:
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
-
-    def cross(self, other: "Point") -> Fraction:
-        return self.x * other.y - self.y * other.x
 
     def dot(self, other: "Point") -> Fraction:
         return self.x * other.x + self.y * other.y
@@ -134,25 +133,12 @@ class Position(Enum):
     Outside = "outside"
 
 
-def cross3(p: Point, q: Point, r: Point) -> Fraction:
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
-def orient(p: Point, q: Point, r: Point) -> Orientation:
-    c = cross3(p, q, r)
-    if c > 0:
-        return Orientation.CCW
-    if c < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
-
-
-# --- the integer segment kernel ---------------------------------------------
+# --- the integer kernel -----------------------------------------------------
 #
-# Every contact test works on (int, int) points; the Fraction API below
-# clears the denominators of its own points and calls these.  Scaling all
-# points of one test by the same positive integer keeps every sign and
-# every comparison, so the answers are exact.
+# Every predicate works on (int, int) points; the Point API below clears
+# the denominators of its own points and calls these.  Scaling all points
+# of one test by the same positive integer keeps every sign and every
+# comparison, so the answers are exact.
 
 IntPoint = tuple[int, int]
 
@@ -166,6 +152,15 @@ def int_coords(points: Iterable[Point]) -> list[IntPoint]:
     scale = lcm(*(q.denominator for p in points for q in (p.x, p.y)))
     return [(p.x.numerator * (scale // p.x.denominator),
              p.y.numerator * (scale // p.y.denominator)) for p in points]
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def int_cross(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
+    """Twice the signed area of pqr: positive when r lies left of pq."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
 def _in_box(p: IntPoint, a: IntPoint, b: IntPoint) -> bool:
@@ -221,6 +216,84 @@ def int_relation(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> Relation
     return Relation.Touching
 
 
+def int_point_in_triangle(p: IntPoint, t: Sequence[IntPoint]) -> Position:
+    u, v, w = t
+    area = int_cross(u, v, w)
+    if area == 0:
+        raise DegenerateTriangle("collinear triangle vertices")
+    if area < 0:
+        v, w = w, v
+    s = (int_cross(u, v, p), int_cross(v, w, p), int_cross(w, u, p))
+    if min(s) > 0:
+        return Position.Inside
+    return Position.Outside if min(s) < 0 else Position.Boundary
+
+
+def int_convex_hull(points: Iterable[IntPoint]) -> list[IntPoint]:
+    """Extreme points in CCW order, starting at the lexicographic minimum.
+
+    Collinear boundary points are excluded; duplicates tolerated.
+    """
+    pts = sorted(set(points))
+    if not pts:
+        raise GeometryError("convex_hull of empty set")
+    if len(pts) == 1:
+        return pts
+
+    def half(seq):
+        out: list[IntPoint] = []
+        for p in seq:
+            while len(out) >= 2 and int_cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(reversed(pts))[:-1]
+    # all collinear: keep only the two extremes
+    return hull if len(hull) >= 2 else [pts[0], pts[-1]]
+
+
+def int_point_in_convex_polygon(p: IntPoint, hull: Sequence[IntPoint]) -> Position:
+    """Position of p relative to a CCW hull (also handles point/segment hulls)."""
+    if len(hull) == 1:
+        return Position.Boundary if p == hull[0] else Position.Outside
+    if len(hull) == 2:
+        return Position.Boundary if int_on_segment(p, *hull) else Position.Outside
+    s = [int_cross(a, b, p) for a, b in _features(hull)]
+    if min(s) < 0:
+        return Position.Outside
+    return Position.Boundary if 0 in s else Position.Inside
+
+
+def _features(hull: Sequence) -> list[tuple]:
+    """The edges of a hull as point pairs: none, one, or the closed cycle."""
+    if len(hull) == 1:
+        return []
+    if len(hull) == 2:
+        return [tuple(hull)]
+    return list(zip(hull, [*hull[1:], hull[0]]))
+
+
+def int_separable(set_a: Sequence[IntPoint], set_b: Sequence[IntPoint]) -> bool:
+    """Whether a line has set_a strictly on one side and set_b strictly on
+    the other: whether the closed convex hulls are disjoint."""
+    if not set_a or not set_b:
+        raise GeometryError("both sets must be nonempty")
+    if set(set_a) & set(set_b):
+        raise SharedPoint("point sets intersect")
+    h1, h2 = int_convex_hull(set_a), int_convex_hull(set_b)
+    return all(int_point_in_convex_polygon(p, h) is Position.Outside
+               for g, h in ((h1, h2), (h2, h1)) for p in g) \
+        and all(int_relation(*s, *t) is Relation.Disjoint
+                for s in _features(h1) for t in _features(h2))
+
+
+# --- the Point API: each clears its own denominators -------------------------
+
+def orient(p: Point, q: Point, r: Point) -> Orientation:
+    return Orientation(_sign(int_cross(*int_coords((p, q, r)))))
+
+
 def _on_closed_segment(p: Point, s: Segment) -> bool:
     return int_on_segment(*int_coords((p, s.a, s.b)))
 
@@ -236,135 +309,49 @@ def segment_relation(s1: Segment, s2: Segment) -> Relation:
 
 
 def point_in_triangle(p: Point, t: tuple[Point, Point, Point]) -> Position:
-    u, v, w = t
-    area = cross3(u, v, w)
-    if area == 0:
-        raise DegenerateTriangle("collinear triangle vertices")
-    if area < 0:
-        u, v, w = u, w, v
-    s1 = cross3(u, v, p)
-    s2 = cross3(v, w, p)
-    s3 = cross3(w, u, p)
-    if s1 > 0 and s2 > 0 and s3 > 0:
-        return Position.Inside
-    if s1 < 0 or s2 < 0 or s3 < 0:
-        return Position.Outside
-    return Position.Boundary
+    ip, *it = int_coords((p, *t))
+    return int_point_in_triangle(ip, it)
 
 
 def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Extreme points in CCW order, starting at the lexicographic minimum.
-
-    Collinear boundary points are excluded; duplicates tolerated.
-    """
-    pts = sorted(set(points), key=Point.sortkey)
-    if not pts:
-        raise GeometryError("convex_hull of empty set")
-    if len(pts) == 1:
-        return pts
-
-    def half(seq):
-        out: list[Point] = []
-        for p in seq:
-            while len(out) >= 2 and cross3(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2 and len(pts) >= 2:
-        # all collinear: keep only the two extremes
-        hull = [pts[0], pts[-1]]
-    return hull
+    pts = list(points)
+    back = dict(zip(int_coords(pts), pts))
+    return [back[q] for q in int_convex_hull(back)]
 
 
 def point_in_convex_polygon(p: Point, hull: Sequence[Point]) -> Position:
-    """Position of p relative to a CCW hull (also handles point/segment hulls)."""
-    if len(hull) == 1:
-        return Position.Boundary if p == hull[0] else Position.Outside
-    if len(hull) == 2:
-        return (Position.Boundary
-                if _on_closed_segment(p, Segment(hull[0], hull[1]))
-                else Position.Outside)
-    on_edge = False
-    for i in range(len(hull)):
-        c = cross3(hull[i], hull[(i + 1) % len(hull)], p)
-        if c < 0:
-            return Position.Outside
-        if c == 0:
-            on_edge = True
-    return Position.Boundary if on_edge else Position.Inside
+    ip, *ih = int_coords((p, *hull))
+    return int_point_in_convex_polygon(ip, ih)
 
 
-def _hulls_intersect(h1: Sequence[Point], h2: Sequence[Point]) -> bool:
-    # closed convex sets: boundary contact counts as intersecting
-    for p in h1:
-        if point_in_convex_polygon(p, h2) is not Position.Outside:
-            return True
-    for p in h2:
-        if point_in_convex_polygon(p, h1) is not Position.Outside:
-            return True
-    e2 = _features(h2)
-    for s in _features(h1):
-        for t in e2:
-            if segment_relation(s, t) is not Relation.Disjoint:
-                return True
-    return False
-
-
-def _closest_point_on_segment(p: Point, s: Segment) -> Point:
-    d = s.b - s.a
-    t = (p - s.a).dot(d) / d.dot(d)
+def _closest_point_on_segment(p: Point, a: Point, b: Point) -> Point:
+    d = b - a
+    t = (p - a).dot(d) / d.dot(d) if a != b else 0
     if t <= 0:
-        return s.a
+        return a
     if t >= 1:
-        return s.b
-    return Point(s.a.x + t * d.x, s.a.y + t * d.y)
-
-
-def _features(hull: Sequence[Point]) -> list[Segment]:
-    if len(hull) == 1:
-        return []
-    if len(hull) == 2:
-        return [Segment(hull[0], hull[1])]
-    return [Segment(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+        return b
+    return Point(a.x + t * d.x, a.y + t * d.y)
 
 
 def linear_separator(set_a: Sequence[Point], set_b: Sequence[Point]) -> Optional[Line]:
     """A line with set_a strictly on one side and set_b strictly on the other.
 
-    Decided exactly via convex-hull disjointness; a line touching either
-    hull does not count as separating.  Returns None when no separator
-    exists.
+    Decided exactly by int_separable; a line touching either hull does
+    not count as separating.  Returns None when no separator exists.
     """
-    if not set_a or not set_b:
-        raise GeometryError("both sets must be nonempty")
-    if set(set_a) & set(set_b):
-        raise SharedPoint("point sets intersect")
-    ha = convex_hull(set_a)
-    hb = convex_hull(set_b)
-    if _hulls_intersect(ha, hb):
+    ints = int_coords([*set_a, *set_b])
+    if not int_separable(ints[:len(set_a)], ints[len(set_a):]):
         return None
+    ha, hb = convex_hull(set_a), convex_hull(set_b)
 
     # disjoint closed convex sets: take the closest pair of points between
     # the hulls (vertex-vertex or vertex-edge) and separate perpendicular
     # to it through the midpoint
-    best = None
-    for p in ha:
-        for feat in _features(hb) or [Segment(hb[0], hb[0] + Point(1, 0))]:
-            q = _closest_point_on_segment(p, feat) if len(hb) > 1 else hb[0]
-            d2 = (p - q).dot(p - q)
-            if best is None or d2 < best[0]:
-                best = (d2, p, q)
-    for q in hb:
-        for feat in _features(ha) or [Segment(ha[0], ha[0] + Point(1, 0))]:
-            p = _closest_point_on_segment(q, feat) if len(ha) > 1 else ha[0]
-            d2 = (p - q).dot(p - q)
-            if best is None or d2 < best[0]:
-                best = (d2, p, q)
-    _, p, q = best
+    p, q = min(((p, _closest_point_on_segment(p, a, b))
+                for h1, h2 in ((ha, hb), (hb, ha)) for p in h1
+                for a, b in _features(h2) or [(h2[0], h2[0])]),
+               key=lambda pq: (pq[1] - pq[0]).dot(pq[1] - pq[0]))
     mid = Point((p.x + q.x) / 2, (p.y + q.y) / 2)
     n = q - p  # normal direction
     line = Line(n.x, n.y, n.x * mid.x + n.y * mid.y)

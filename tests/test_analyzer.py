@@ -6,6 +6,7 @@ tests, crossing parities, triangle containment), independently of the
 implementation.  Coordinates are exact rationals.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from simembed.analyzer import (
+    Channel,
+    ChannelSegment,
     ConnectionKind,
     CutKind,
     DoorStatus,
@@ -423,3 +426,66 @@ class TestConnections:
         assert disjoint_intersections((2, 4), (3, 1))
         assert not disjoint_intersections((1, 3), (2, 4))
         assert not disjoint_intersections((1, 2), (3, 4))
+
+
+# --- denominators ----------------------------------------------------------
+#
+# Every witness again under q -> q/7 + (1/3, -2/5): the analyzer clears
+# the denominators (lcm 105) of the whole drawing before any sign test,
+# so every answer must be the same up to that map.
+
+def shrink(p):
+    return P(p.x / 7 + F(1, 3), p.y / 7 - F(2, 5))
+
+
+def shrunk(d):
+    return Drawing({v: shrink(p) for v, p in d.pos.items()})
+
+
+def shrunk_channel(ch):
+    # ray directions are differences of points: only the 1/7 applies
+    segs = tuple(ChannelSegment(
+        s.index, tuple(map(shrink, s.vertices)),
+        s.rays and tuple((shrink(o), P(v.x / 7, v.y / 7)) for o, v in s.rays))
+        for s in ch.segments)
+    return Channel(ch.joint, ch.path_a, ch.path_b, ch.x,
+                   tuple(tuple(map(shrink, g)) for g in ch.gates), segs,
+                   shrink(ch.root))
+
+
+CHANNEL_WITNESSES = ((zigzag_witness, [1, 2, 3]),
+                     (blocking_witness, [1, 2, 3, 4]),
+                     (double_cut_witness, [1, 2, 3]),
+                     (connection_low_witness, [1, 2, 3]),
+                     (connection_high_witness, [1, 2, 3]))
+
+
+class TestDenominators:
+    def test_passages_and_doors(self):
+        inst, d, plan = passage_witness()
+        ds = shrunk(d)
+        ps, qs = detect_passages(inst, d, plan), detect_passages(inst, ds, plan)
+        assert qs == [dataclasses.replace(p, polyline=tuple(map(shrink, p.polyline)))
+                      for p in ps]
+        doors = [enumerate_doors(p, inst, d) for p in ps]
+        assert [enumerate_doors(q, inst, ds) for q in qs] == doors
+        assert ps and doors[0]
+
+    def test_channels_cuts_and_connections(self):
+        for witness, joints in CHANNEL_WITNESSES:
+            inst, d = witness()
+            ds = shrunk(d)
+            chs, chs2 = compute_channels(inst, d, joints), compute_channels(inst, ds, joints)
+            assert chs2 == [shrunk_channel(ch) for ch in chs]
+            for ch, ch2 in zip(chs, chs2):
+                for p in d.pos.values():
+                    assert segment_of(ch2, shrink(p)) == segment_of(ch, p)
+            assert detect_cuts(inst, ds, chs2) == detect_cuts(inst, d, chs)
+            assert classify_connections(chs2, ds) == classify_connections(chs, d)
+
+    def test_extremal_flag_kept(self):
+        inst, d = double_cut_witness()
+        ds = shrunk(d)
+        chs = compute_channels(inst, ds, [1, 2, 3])
+        flag = {e.edge: e.extremal for e in detect_cuts(inst, ds, chs)}
+        assert flag == {(11, 12): True, (10, 11): False}

@@ -119,6 +119,50 @@ class TestEmbedCheck:
         assert rec["clean"] and rec["tree_planar"] and rec["path_planar"]
 
 
+    def test_check_records_list_witnesses(self, tmp_path, capsys):
+        # tree edges 3-1 and 2-4 cross at (8/3, 0); vertex 3 = (2, 0) lies
+        # inside path edge 0-1, so the path edges 2-3 and 3-4 touch it
+        t = RootedTree.from_parent([None, 3, 0, 2, 2])
+        inst = Instance(t, PathGraph.of([0, 1, 2, 3, 4]))
+        d = Drawing({0: Point(0, 0), 1: Point(4, 0), 2: Point(2, 2),
+                     3: Point(2, 0), 4: Point(3, -1)})
+        sge = write_instance(tmp_path, inst)
+        sgd = tmp_path / "x.sgd"
+        sgd.write_text(dump_drawing(d))
+        assert main(["check", sge, str(sgd)]) == 1
+        assert capsys.readouterr().out == (
+            "VIOLATIONS: tree planar=False (1 crossings), "
+            "path planar=False (2 crossings)\n")
+        assert main(["check", sge, str(sgd), "--format", "records"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["tree_crossings"], rec["tree_vertex_on_edge"]) == (1, 0)
+        assert (rec["path_crossings"], rec["path_vertex_on_edge"]) == (2, 1)
+        assert rec["tree_crossing_witnesses"] == [
+            {"edges": [[3, 1], [2, 4]], "relation": "proper-crossing"}]
+        assert rec["tree_vertex_on_edge_witnesses"] == []
+        assert rec["path_crossing_witnesses"] == [
+            {"edges": [[0, 1], [2, 3]], "relation": "touching"},
+            {"edges": [[0, 1], [3, 4]], "relation": "touching"}]
+        assert rec["path_vertex_on_edge_witnesses"] == [
+            {"vertex": 3, "edge": [0, 1]}]
+
+    def test_check_records_cap_witnesses(self, tmp_path, capsys):
+        # a path zigzagging between the two halves of a convex chain
+        # crosses itself more than 20 times; the lists stop at 20
+        n = 14
+        order = [v for k in range(n // 2) for v in (k, k + n // 2)]
+        inst = Instance(RootedTree.from_parent([None] + list(range(n - 1))),
+                        PathGraph.of(order))
+        d = Drawing({v: Point(v, v * v) for v in range(n)})
+        sge = write_instance(tmp_path, inst)
+        sgd = tmp_path / "z.sgd"
+        sgd.write_text(dump_drawing(d))
+        assert main(["check", sge, str(sgd), "--format", "records"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["path_crossings"] > 20
+        assert len(rec["path_crossing_witnesses"]) == 20
+        assert rec["tree_crossing_witnesses"] == []
+
 class TestSearch:
     def test_found_writes_drawing(self, tmp_path, capsys):
         sge = write_instance(tmp_path, depth2_instance())

@@ -1,15 +1,21 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simembed.depth2 import embed_depth2
 from simembed.geom import (
+    _BAD,
     Point,
     Relation,
     Segment,
     _on_closed_segment,
+    int_coords,
+    int_on_segment,
     int_relation,
     segment_relation,
 )
@@ -120,6 +126,111 @@ class TestCheckDrawingReference:
                 rep = check_drawing(edges, d)
                 assert (rep.crossings, rep.vertex_on_edge) == \
                     all_pairs_reference(edges, d)
+
+
+def grid_case(rng, plane):
+    """A drawing on a random subset of a small integer or rational grid
+    (sheared when den = 3), some of its points isolated, with a random
+    edge set; with `plane` the edges are added greedily while the drawing
+    stays plane (decided here by the integer kernel), and then one more
+    random edge in a third of the cases."""
+    w, den = rng.randrange(3, 6), rng.choice((1, 1, 2, 3))
+    pts = rng.sample([(x, y) for x in range(w) for y in range(w)],
+                     rng.randrange(2, 10))
+    d = Drawing({v: P(Fraction(x, den), Fraction(y, den) + Fraction(x, 7) * (den == 3))
+                 for v, (x, y) in enumerate(pts)})
+    pairs = list(combinations(range(len(pts)), 2))
+    rng.shuffle(pairs)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    if not plane:
+        return pairs[:rng.randrange(min(len(pairs), 9) + 1)], d
+    ic = dict(zip(d.pos, int_coords(d.pos.values())))
+    edges = []
+    for u, v in pairs[:rng.randrange(len(pairs) + 1)]:
+        a, b = ic[u], ic[v]
+        if not any(int_on_segment(ic[w], a, b) for w in ic if w not in (u, v)) \
+                and not any(int_relation(a, b, ic[s], ic[t]) in _BAD for s, t in edges):
+            edges.append((u, v))
+    if pairs and rng.random() < 1 / 3:
+        edges.append(rng.choice(pairs))
+    return edges, d
+
+
+def depth2_case(rng):
+    """A depth-2 tree/path pair drawn by embed_depth2; in half the cases
+    two vertices then trade places."""
+    n = rng.randrange(3, 13)
+    parent = [None] + [0] * rng.randrange(1, n)
+    parent += [rng.randrange(1, len(parent)) for _ in range(n - len(parent))]
+    order = list(range(n))
+    rng.shuffle(order)
+    inst = Instance(RootedTree.from_parent(parent), PathGraph.of(order))
+    pos = dict(embed_depth2(inst).pos)
+    if rng.random() < 0.5:
+        u, v = rng.sample(range(n), 2)
+        pos[u], pos[v] = pos[v], pos[u]
+    return [inst.tree.edges(), inst.path.edges()], Drawing(pos)
+
+
+def monotone_case(rng):
+    """A path through points of increasing x, y from a small range (so
+    collinear and horizontal runs occur); in a third of the cases two
+    path positions trade places."""
+    n = rng.randrange(2, 12)
+    xs = sorted(rng.sample(range(3 * n), n))
+    d = Drawing({v: P(Fraction(x, 2), rng.randrange(4)) for v, x in enumerate(xs)})
+    order = list(range(n))
+    if n > 2 and rng.random() < 1 / 3:
+        i, j = rng.sample(range(n), 2)
+        order[i], order[j] = order[j], order[i]
+    return PathGraph.of(order).edges(), d
+
+
+class TestSweepDifferential:
+    def test_matches_all_pairs_on_plane_and_nonplane_inputs(self):
+        rng = random.Random(11)
+        cases = []
+        for k in range(3000):
+            cases.append(grid_case(rng, plane=k % 2 == 0))
+        for _ in range(700):
+            graphs, d = depth2_case(rng)
+            cases += [(edges, d) for edges in graphs]
+        for _ in range(800):
+            cases.append(monotone_case(rng))
+        grid = [P(x, y) for x in range(3) for y in range(3)]
+        for _ in range(150):
+            inst = random_instance(rng, rng.randrange(3, 6))
+            res = search_embedding(inst, grid, budget=2000)
+            if res.drawing is not None:
+                cases += [(inst.tree.edges(), res.drawing),
+                          (inst.path.edges(), res.drawing)]
+        planar = 0
+        for edges, d in cases:
+            rep = check_drawing(edges, d)
+            assert (rep.crossings, rep.vertex_on_edge) == \
+                all_pairs_reference(edges, d)
+            planar += rep.planar
+        assert len(cases) >= 5000
+        assert planar >= 0.4 * len(cases)
+
+
+def depth2_star_instance(n, rng):
+    # a root with sqrt(n) children sharing the other vertices
+    k = int(n ** 0.5)
+    parent = [None] + [0] * k + [1 + rng.randrange(k) for _ in range(n - k - 1)]
+    order = list(range(n))
+    rng.shuffle(order)
+    return Instance(RootedTree.from_parent(parent), PathGraph.of(order))
+
+
+class TestSweepScale:
+    def test_depth2_pair_with_10000_vertices(self):
+        inst = depth2_star_instance(10_000, random.Random(3))
+        d = embed_depth2(inst)
+        t0 = time.perf_counter()
+        tr, pr = check_simultaneous(inst, d)
+        assert time.perf_counter() - t0 < 3.0
+        assert tr.planar and pr.planar
 
 
 GRID = [(x, y) for x in range(4) for y in range(4)]
