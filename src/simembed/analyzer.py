@@ -522,8 +522,8 @@ def _vertex_to_ef(plan) -> dict:
         return {}
     owner = {}
     for ef_idx, ef in enumerate(plan.efs):
-        for f_idx in ef.get("formations", []):
-            for cell_id in plan.formations[f_idx].get("cells", []):
+        for f_idx in ef["formations"]:
+            for cell_id in plan.formations[f_idx]["cells"]:
                 for v in plan.cells[cell_id].path_order():
                     owner[v] = ef_idx
     return owner

@@ -3,15 +3,20 @@
 The tree hangs branches and stabilizers off joints below a common root;
 the path threads through them cell by cell, cells are chained into
 formations, formations into extended formations (EFs) with scheduled
-defects, and EFs into a sequence of extended formations (SEF).
-`build_instance` builds a labeled instance at reduced constants;
-`size_report` only evaluates exact counts, at full scale too.
+defects, and EFs into a sequence of extended formations (SEF).  One visit
+program (`_program`) writes that structure and its defect schedules down
+once: `build_instance` takes its cells from it to build a labeled
+instance and its plan at reduced constants, and `validate_structure`
+checks an instance and its plan against it.  `size_report` only
+evaluates exact counts, at full scale too.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb, ceil
 from typing import Optional
 
@@ -122,13 +127,18 @@ def _ids(xs, below=float("inf")) -> bool:
         type(x) is int and 0 <= x < below for x in xs)
 
 
+def _has(d, *keys) -> bool:
+    return isinstance(d, dict) and all(k in d for k in keys)
+
+
 @dataclass
 class SequencePlan:
     params_s: int
     cells: list = field(default_factory=list)        # CellLayout
     formations: list = field(default_factory=list)   # {joints: [4], cells: [ids]}
     efs: list = field(default_factory=list)          # {tuples, formations, defects}
-    sef: dict = field(default_factory=dict)          # {tuples, efs, defects, double}
+    sef: dict = field(default_factory=lambda: {      # {tuples, efs, defects, double}
+        "tuples": [], "efs": [], "defects": [], "double": False})
 
     def to_json(self) -> str:
         return json.dumps({
@@ -141,20 +151,28 @@ class SequencePlan:
 
     @staticmethod
     def from_json(text: str) -> "SequencePlan":
-        """Parse a .plan; a missing key or a wrong shape is a FormatError."""
+        """Parse a .plan; a missing key, a wrong shape or an id out of
+        range is a FormatError."""
         try:
             raw = json.loads(text)
             plan = SequencePlan(raw["s"], [CellLayout(**c) for c in raw["cells"]],
                                 raw["formations"], raw["efs"], raw["sef"])
-            ok = (_ids([plan.params_s]) and isinstance(plan.sef, dict) and all(
-                _ids(c.path_order() + [c.joint, c.index]) for c in plan.cells)
-                and all(_ids(f["cells"], len(plan.cells)) for f in plan.formations)
-                and all(_ids(e["formations"], len(plan.formations))
-                        for e in plan.efs))
+            ok = (_ids([plan.params_s])
+                  and _has(plan.sef, "tuples", "efs", "defects", "double")
+                  and _ids(plan.sef["efs"], len(plan.efs))
+                  and all(_ids(c.path_order() + [c.joint, c.index])
+                          for c in plan.cells)
+                  and all(_has(f, "joints", "cells")
+                          and _ids(f["cells"], len(plan.cells))
+                          for f in plan.formations)
+                  and all(_has(e, "tuples", "formations", "defects")
+                          and _ids(e["formations"], len(plan.formations))
+                          for e in plan.efs))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"malformed plan: {e!r}") from None
         if not ok:
-            raise FormatError("malformed plan: a value is not a valid id")
+            raise FormatError("malformed plan: a key is missing or a value"
+                              " is not a valid id")
         return plan
 
 
@@ -247,19 +265,12 @@ def _distribute_set(branches: list[dict], stab_pool: list[int],
             others = [r for r in range(s) if r != k]
             for idx, w in enumerate(br["twos"]):
                 owner_of[w] = others[idx // 3]
-        for r in range(s):
-            c = cells[r]
+        for r, c in enumerate(cells):
             one = subset[r]["root"]
             twos = [w for k, br in enumerate(subset) if k != r
                     for w in br["twos"] if owner_of[w] == r]
-            threes = []
-            for k, br in enumerate(subset):
-                if k == r:
-                    continue
-                for w in br["twos"]:
-                    if owner_of[w] == r:
-                        continue
-                    threes.append(br["threes"][w].pop(0))
+            threes = [br["threes"][w].pop(0) for k, br in enumerate(subset)
+                      if k != r for w in br["twos"] if owner_of[w] != r]
             if into_head:
                 c.head_1vertex = one
                 c.head_2vertices.extend(twos)
@@ -297,6 +308,42 @@ def size_report(p: CounterexampleParams) -> SizeReport:
     )
 
 
+# --- the visit program: SEF -> EF -> formation -> cell -------------------
+
+def _formation_joints(h: list, p: CounterexampleParams) -> list[int]:
+    """The joint of each cell a formation on joint tuple h visits, in
+    order: ((h1 h2 h3)^R1 h4^R1)^R2."""
+    r1 = p.formation_reps
+    return (h[:3] * r1 + h[3:] * r1) * p.formation_outer
+
+
+def _program(p: CounterexampleParams) -> tuple[list, list]:
+    """p's visit program, in the plan's terms.
+
+    Joint tuples are runs of four joint indices in order around the root,
+    x to an EF tuple, sef_tuple EF tuples in all, numbered from 1 (a
+    residue 0 reads as the last).  SEF repetition k skips EF tuple
+    k mod sef_tuple (with double defects the next one too) and gives
+    every other EF tuple one EF.  In its repetition k an EF visits one
+    formation on each of its joint tuples but its defect k mod x; with
+    x = 1 there is no defect.  Returns the EF tuples and, per SEF
+    repetition, (skipped tuple numbers, EFs), each EF as (joint tuples,
+    defects, the joint tuple of every formation it visits).
+    """
+    groups = [[list(range(4 * i, 4 * i + 4)) for i in range(g * p.x, (g + 1) * p.x)]
+              for g in range(p.sef_tuple)]
+    defects = [(k % p.x or p.x) if p.x > 1 else None for k in range(1, p.y + 1)]
+    reps = []
+    for k in range(1, p.sef_reps + 1):
+        m = k % p.sef_tuple or p.sef_tuple
+        skipped = sorted({m, m % p.sef_tuple + 1} if p.double_defects else {m})
+        reps.append((skipped, [
+            (group, defects, [h for d in defects
+                              for j, h in enumerate(group, 1) if j != d])
+            for j, group in enumerate(groups, 1) if j not in skipped]))
+    return groups, reps
+
+
 def build_instance(p: CounterexampleParams):
     """A labeled Instance plus its SequencePlan."""
     p.validate()
@@ -316,12 +363,10 @@ def build_instance(p: CounterexampleParams):
     q = p.joint_count()
     joints = [new_vertex(0, Role.Joint) for _ in range(q)]
 
-    sets_per_joint = ceil(p.cells_needed_per_joint() / p.s)
+    per_joint = ceil(p.cells_needed_per_joint() / p.s) * p.s  # whole sets
     plan = SequencePlan(p.s)
-    cells_by_joint: dict[int, list[int]] = {}
     for jpos, j in enumerate(joints):
-        base = 0
-        for _ in range(sets_per_joint):
+        for base in range(0, per_joint, p.s):
             branches = []
             for _ in range(_branches_per_set(p.s)):
                 root = new_vertex(j, Role.B1)
@@ -331,11 +376,7 @@ def build_instance(p: CounterexampleParams):
                 branches.append({"root": root, "twos": twos, "threes": threes})
             stab_pool = [new_vertex(j, Role.Stabilizer)
                          for _ in range(p.s * counts["stabilizers"])]
-            cells = _distribute_set(branches, stab_pool, jpos, base, p.s)
-            base += p.s
-            for c in cells:
-                cells_by_joint.setdefault(jpos, []).append(len(plan.cells))
-                plan.cells.append(c)
+            plan.cells += _distribute_set(branches, stab_pool, jpos, base, p.s)
         # one spare subtree per joint, never visited by a cell; it gives
         # the path completion vertices not adjacent to the root and keeps
         # the depth at 4 even when branches carry no 3-vertices (s = 2)
@@ -345,66 +386,28 @@ def build_instance(p: CounterexampleParams):
             for _ in range(max(1, p.s - 2)):
                 new_vertex(w, Role.B3)
 
-    # --- the visit program: SEF -> EF -> formation -> cell ---------------
-    next_cell = {jpos: 0 for jpos in range(q)}
-
-    def take_cell(jpos: int) -> int:
-        i = next_cell[jpos]
-        next_cell[jpos] += 1
-        return cells_by_joint[jpos][i]
-
-    def make_formation(h: tuple) -> int:
-        h1, h2, h3, h4 = h
-        cell_ids = []
-        for _ in range(p.formation_outer):
-            for _ in range(p.formation_reps):
-                cell_ids.extend(take_cell(j) for j in (h1, h2, h3))
-            cell_ids.extend(take_cell(h4) for _ in range(p.formation_reps))
-        plan.formations.append({"joints": list(h), "cells": cell_ids})
-        return len(plan.formations) - 1
-
-    # joint tuples in index order around the root
-    all_tuples = [tuple(range(4 * i, 4 * i + 4)) for i in range(p.sef_tuple * p.x)]
-    sef_tuples = [all_tuples[i * p.x:(i + 1) * p.x] for i in range(p.sef_tuple)]
-
-    def make_ef(tuples: list[tuple]) -> int:
-        formations = []
-        defects = []
-        for k in range(1, p.y + 1):
-            m = k % p.x if p.x > 1 else None  # 0 stands for the last tuple
-            if m == 0:
-                m = p.x
-            defects.append(m)
-            for j, h in enumerate(tuples, start=1):
-                if j == m:
-                    continue
-                formations.append(make_formation(h))
-        plan.efs.append({"tuples": [list(t) for t in tuples],
-                         "formations": formations, "defects": defects})
-        return len(plan.efs) - 1
-
-    sef_efs = []
-    sef_defects = []
-    for k in range(1, p.sef_reps + 1):
-        m = k % p.sef_tuple
-        if m == 0:
-            m = p.sef_tuple
-        skipped = {m, m % p.sef_tuple + 1} if p.double_defects else {m}
-        sef_defects.append(sorted(skipped))
-        for j in range(1, p.sef_tuple + 1):
-            if j in skipped:
-                continue
-            sef_efs.append(make_ef(sef_tuples[j - 1]))
-    plan.sef = {"tuples": [[list(t) for t in grp] for grp in sef_tuples],
-                "efs": sef_efs, "defects": sef_defects,
+    # each joint's cells are visited in index order
+    unvisited = [iter(range(jpos * per_joint, (jpos + 1) * per_joint))
+                 for jpos in range(q)]
+    groups, reps = _program(p)
+    for _, efs in reps:
+        for tuples, defects, visits in efs:
+            first = len(plan.formations)
+            plan.formations += [
+                {"joints": list(h), "cells": [next(unvisited[jpos])
+                                              for jpos in _formation_joints(h, p)]}
+                for h in visits]
+            plan.efs.append({"tuples": [list(h) for h in tuples],
+                             "formations": list(range(first, len(plan.formations))),
+                             "defects": list(defects)})
+    plan.sef = {"tuples": [[list(h) for h in group] for group in groups],
+                "efs": list(range(len(plan.efs))),
+                "defects": [skipped for skipped, _ in reps],
                 "double": p.double_defects}
 
     # --- path: concatenate cells in visit order, then append the rest ----
-    order: list[int] = []
-    for ef_id in sef_efs:
-        for f_id in plan.efs[ef_id]["formations"]:
-            for c_id in plan.formations[f_id]["cells"]:
-                order.extend(plan.cells[c_id].path_order())
+    order = [v for f in plan.formations for c in f["cells"]
+             for v in plan.cells[c].path_order()]
 
     # completion rule: root, joints ascending, remaining ascending; when an
     # appended edge would duplicate a tree edge, pair the offender with the
@@ -447,157 +450,110 @@ def build_instance(p: CounterexampleParams):
 
 # --- structural validator -------------------------------------------------
 
-def derive_cells(i: Instance) -> list[dict]:
-    """Re-read cells off the path using only role labels and tree shape.
-
-    A cell starts at a branch-root (B1) vertex preceded by a stabilizer
-    (or at the path start); the planned prefix ends where the tree root
-    appears on the path.  A 2-/3-vertex followed by a 1-vertex is a head
-    member, one followed by a stabilizer a tail member.
-    """
-    t, order = i.tree, i.path.order
-    role = t.labels or (Role.Other,) * t.n
-    stop = order.index(t.root) if t.root in order else len(order)
-    prefix = list(order[:stop])
-    boundaries = [0]
-    for idx in range(1, len(prefix)):
-        if (role[prefix[idx]] is Role.B1
-                and role[prefix[idx - 1]] is Role.Stabilizer):
-            boundaries.append(idx)
-    boundaries.append(len(prefix))
-    cells = []
-    for b, e in zip(boundaries, boundaries[1:]):
-        seg = prefix[b:e]
-        cell = {"head1": None, "head2": [], "head3": [], "tail1": [],
-                "tail2": [], "tail3": [], "stab": [], "members": seg,
-                "joint": None, "ok": True}
-        for idx, v in enumerate(seg):
-            r = role[v]
-            nxt = role[seg[idx + 1]] if idx + 1 < len(seg) else None
-            if idx == 0:
-                if r is Role.B1:
-                    cell["head1"] = v
-                else:
-                    cell["ok"] = False
-                continue
-            if r is Role.B1:
-                cell["tail1"].append(v)
-            elif r is Role.Stabilizer:
-                cell["stab"].append(v)
-            elif r in (Role.B2, Role.B3):
-                part = "head" if nxt is Role.B1 else "tail"
-                cell[part + ("2" if r is Role.B2 else "3")].append(v)
-            else:
-                cell["ok"] = False
-        u = cell["head1"] if cell["head1"] is not None else seg[0]
-        while t.depth[u] > 1:
-            u = t.parent[u]
-        cell["joint"] = u
-        cells.append(cell)
-    return cells
+# the role and depth of the members of each CellLayout list, in field order
+_MEMBER_ROLES = ((Role.B1, 2), (Role.B2, 3), (Role.B3, 4),
+                 (Role.B1, 2), (Role.B2, 3), (Role.B3, 4), (Role.Stabilizer, 2))
 
 
 def validate_structure(i: Instance, p: CounterexampleParams,
-                       plan: Optional[SequencePlan] = None) -> ValidationReport:
-    """Check every cell-layout count, the interleaving pattern, per-joint
-    stabilizer totals, and the formation/EF/SEF orders with their defect
-    schedules, reading the structure back off labels and the path."""
+                       plan: SequencePlan) -> ValidationReport:
+    """Check an instance and its plan against the parameters p.
+
+    1. The plan follows p's visit program (`_program`): the SEF's tuples,
+       defects and double flag, and each EF it visits, with the joint
+       tuple of each of its formations.
+    2. The cells of each visited formation sit on the joints
+       ((h1 h2 h3)^R1 h4^R1)^R2 of its tuple h.
+    3. Every cell of the plan has the list lengths of `_cell_counts(p.s)`;
+       its lists hold B1, B2, B3, B1, B2, B3 and Stabilizer vertices, and
+       each member hangs, at its role's depth, below the cell's joint
+       (joint index k is the k-th Joint child of the root, by id).
+    4. The path starts with the visited cells' `path_order()`, in visit
+       order, and the tree root comes next.
+    5. Each joint carries the stabilizers of all its cell sets.
+
+    A plan that names a joint or a vertex outside the instance is
+    reported, never raised on.  Interleaving and anchoring follow from
+    3 and 4.
+    """
     rep = ValidationReport()
-    parent, depth = i.tree.parent, i.tree.depth
-    role = i.tree.labels or (Role.Other,) * i.tree.n
-    counts = _cell_counts(p.s)
-    cells = derive_cells(i)
-    expected_cells = p.joint_count() * p.cells_needed_per_joint()
-    if len(cells) != expected_cells:
-        rep.add(f"expected {expected_cells} visited cells, found {len(cells)}")
+    t, order = i.tree, i.path.order
+    parent, depth = t.parent, t.depth
+    role = t.labels or (Role.Other,) * t.n
+    groups, reps = _program(p)
+    efs = [ef for _, rep_efs in reps for ef in rep_efs]
+    sef = plan.sef
+    if (plan.params_s != p.s or sef["tuples"] != groups
+            or sef["defects"] != [skipped for skipped, _ in reps]
+            or sef["double"] != p.double_defects):
+        rep.add("SEF: parameters, tuples or defect schedule differ from"
+                " the visit program")
+    formations = sum(len(visits) for *_, visits in efs)
+    if (len(sef["efs"]), len(plan.efs), len(plan.formations)) != (
+            len(efs), len(efs), formations):
+        rep.add(f"SEF visits {len(sef['efs'])} of {len(plan.efs)} EFs and the"
+                f" plan holds {len(plan.formations)} formations; the program"
+                f" visits {len(efs)} EFs and {formations} formations")
 
-    for ci, cell in enumerate(cells):
-        if not cell["ok"] or cell["head1"] is None:
-            rep.add(f"cell {ci}: malformed member sequence")
+    visited = []
+    for e, (tuples, defects, visits) in zip(sef["efs"], efs):
+        ef = plan.efs[e]
+        if ef["tuples"] != tuples or ef["defects"] != defects or visits != [
+                plan.formations[f]["joints"] for f in ef["formations"]]:
+            rep.add(f"EF {e}: tuples, defects or formations differ from"
+                    " the visit program")
             continue
-        got_head = (1, len(cell["head2"]), len(cell["head3"]))
-        got_tail = (len(cell["tail1"]), len(cell["tail2"]), len(cell["tail3"]))
-        if got_head != counts["head"]:
-            rep.add(f"cell {ci}: head counts {got_head} != {counts['head']}")
-        if got_tail != counts["tail"]:
-            rep.add(f"cell {ci}: tail counts {got_tail} != {counts['tail']}")
-        if len(cell["stab"]) != counts["stabilizers"]:
-            rep.add(f"cell {ci}: stabilizer count {len(cell['stab'])}"
-                    f" != {counts['stabilizers']}")
-        # Every second vertex reached inside the cell must be a 1-vertex
-        # or a stabilizer
-        seg = cell["members"]
-        for k in range(2, len(seg), 2):
-            if role[seg[k]] not in (Role.B1, Role.Stabilizer):
-                rep.add(f"cell {ci}: interleaving broken at offset {k}")
-                break
-        anchors = {cell["joint"]}
-        for u in seg:
-            while depth[u] > 1:
-                u = parent[u]
-            anchors.add(u)
-        if len(anchors) != 1:
-            rep.add(f"cell {ci}: members span joints {sorted(anchors)}")
-
-    # per-joint stabilizer totals on the tree side
-    per_joint_cells = p.cells_needed_per_joint()
-    sets = ceil(per_joint_cells / p.s)
-    expect_stab = sets * p.s * counts["stabilizers"]
-    stab_by_joint: dict[int, int] = {}
-    for v, r in enumerate(role):
-        if r is Role.Stabilizer:
-            stab_by_joint[parent[v]] = stab_by_joint.get(parent[v], 0) + 1
-    for j in sorted(stab_by_joint):
-        if stab_by_joint[j] != expect_stab:
-            rep.add(f"joint at vertex {j}: {stab_by_joint[j]} stabilizers,"
-                    f" expected {expect_stab}")
-
-    # formation / EF / SEF orders from the joint sequence of the cells
-    joint_seq = [c["joint"] for c in cells]
-    R1, R2 = p.formation_reps, p.formation_outer
-    per_formation = 4 * R1 * R2
-    if len(joint_seq) % per_formation:
-        rep.add("cell count not a whole number of formations")
-    else:
-        formations = []
-        for f in range(len(joint_seq) // per_formation):
-            chunk = joint_seq[f * per_formation:(f + 1) * per_formation]
-            block = R1 * 3
-            h = (chunk[0], chunk[1], chunk[2], chunk[block])
-            expected = (([h[0], h[1], h[2]] * R1 + [h[3]] * R1) * R2)
-            if chunk != expected or len(set(h)) != 4:
-                rep.add(f"formation {f}: cell order does not match"
+        for f, h in zip(ef["formations"], visits):
+            cells = plan.formations[f]["cells"]
+            if [plan.cells[c].joint for c in cells] != _formation_joints(h, p):
+                rep.add(f"formation {f}: cell joints do not read"
                         " ((h1 h2 h3)^R1 h4^R1)^R2")
-            formations.append(h)
-        # EF grouping: formations per EF and their defect schedule
-        fpe = (p.x - 1 if p.x > 1 else 1)
-        per_ef = p.formations_per_ef_tuple() * p.x if p.x > 1 else p.y
-        # per repetition the path visits x-1 tuples (x > 1) or 1 (x = 1)
-        efs_total = len(formations) // per_ef if per_ef else 0
-        idx = 0
-        for e in range(efs_total):
-            tuples_seen: list[tuple] = []
-            for k in range(1, p.y + 1):
-                visited = [formations[idx + t_] for t_ in range(fpe)]
-                idx += fpe
-                for h in visited:
-                    if h not in tuples_seen:
-                        tuples_seen.append(h)
-            if len(tuples_seen) != p.x:
-                rep.add(f"EF {e}: saw {len(tuples_seen)} distinct tuples,"
-                        f" expected {p.x}")
-        if plan is not None:
-            # defect schedule cross-check against the recorded plan
-            for e, ef in enumerate(plan.efs):
-                expect = [(k % p.x or p.x) if p.x > 1 else None
-                          for k in range(1, p.y + 1)]
-                if p.x > 1 and ef["defects"] != expect:
-                    rep.add(f"EF {e}: defect schedule mismatch")
-            expect_sef = []
-            for k in range(1, p.sef_reps + 1):
-                m = k % p.sef_tuple or p.sef_tuple
-                skipped = {m, m % p.sef_tuple + 1} if p.double_defects else {m}
-                expect_sef.append(sorted(skipped))
-            if plan.sef.get("defects") != expect_sef:
-                rep.add("SEF: defect schedule mismatch")
+            visited += cells
+
+    counts = _cell_counts(p.s)
+    lengths = (1,) + counts["head"][1:] + counts["tail"] + (counts["stabilizers"],)
+    want_roles = [r for (r, _), k in zip(_MEMBER_ROLES, lengths) for _ in range(k)]
+    want_depths = [d for (_, d), k in zip(_MEMBER_ROLES, lengths) for _ in range(k)]
+    root = t.root
+    joints = [v for v, u in enumerate(parent)
+              if u == root and role[v] is Role.Joint]
+    lengths_ok = True
+    for ci, c in enumerate(plan.cells):
+        lists = ([c.head_1vertex], c.head_2vertices, c.head_3vertices,
+                 c.tail_1vertices, c.tail_2vertices, c.tail_3vertices,
+                 c.stabilizers)
+        members = list(chain(*lists))
+        if tuple(map(len, lists)) != lengths:
+            rep.add(f"cell {ci}: list lengths {tuple(map(len, lists))}"
+                    f" != {lengths}")
+            lengths_ok = False
+        elif not 0 <= c.joint < len(joints):
+            rep.add(f"cell {ci}: joint {c.joint} outside the instance")
+        elif min(members) < 0 or max(members) >= t.n:
+            rep.add(f"cell {ci}: a member outside the instance")
+        elif (list(map(role.__getitem__, members)) != want_roles
+              or list(map(depth.__getitem__, members)) != want_depths):
+            rep.add(f"cell {ci}: a member with the wrong role or depth")
+        else:
+            for (_, d), xs in zip(_MEMBER_ROLES, lists):
+                for _ in range(d - 1):
+                    xs = list(map(parent.__getitem__, xs))
+                if xs.count(joints[c.joint]) != len(xs):
+                    rep.add(f"cell {ci}: a member hangs below another joint")
+                    break
+
+    if lengths_ok:  # else path_order raises
+        prefix = tuple(v for c in visited for v in plan.cells[c].path_order())
+        if order[:len(prefix) + 1] != prefix + (root,):
+            at = next((k for k, (a, b) in enumerate(zip(order, prefix))
+                       if a != b), len(prefix))
+            rep.add(f"path leaves the plan's visit order at position {at}")
+
+    per_joint = ceil(p.cells_needed_per_joint() / p.s) * p.s * counts["stabilizers"]
+    stab = Role.Stabilizer  # a local: Enum member lookups are slow
+    stabs = Counter(u for u, r in zip(parent, role) if r is stab)
+    for j in sorted(stabs):
+        if stabs[j] != per_joint:
+            rep.add(f"joint at vertex {j}: {stabs[j]} stabilizers,"
+                    f" expected {per_joint}")
     return rep

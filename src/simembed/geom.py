@@ -101,12 +101,6 @@ class Line:
         object.__setattr__(self, "B", Fraction(ib))
         object.__setattr__(self, "C", Fraction(ic))
 
-    @staticmethod
-    def through(p: Point, q: Point) -> "Line":
-        if p == q:
-            raise GeometryError("two distinct points required")
-        return Line(q.y - p.y, p.x - q.x, (q.y - p.y) * p.x + (p.x - q.x) * p.y)
-
     def side(self, p: Point) -> int:
         """Sign of A*x + B*y - C: +1 / -1 strictly off the line, 0 on it."""
         v = self.A * p.x + self.B * p.y - self.C
@@ -308,20 +302,10 @@ def segment_relation(s1: Segment, s2: Segment) -> Relation:
     return int_relation(*int_coords((s1.a, s1.b, s2.a, s2.b)))
 
 
-def point_in_triangle(p: Point, t: tuple[Point, Point, Point]) -> Position:
-    ip, *it = int_coords((p, *t))
-    return int_point_in_triangle(ip, it)
-
-
 def convex_hull(points: Iterable[Point]) -> list[Point]:
     pts = list(points)
     back = dict(zip(int_coords(pts), pts))
     return [back[q] for q in int_convex_hull(back)]
-
-
-def point_in_convex_polygon(p: Point, hull: Sequence[Point]) -> Position:
-    ip, *ih = int_coords((p, *hull))
-    return int_point_in_convex_polygon(ip, ih)
 
 
 def _closest_point_on_segment(p: Point, a: Point, b: Point) -> Point:

@@ -318,6 +318,27 @@ class TestAnalyze:
         assert main(["analyze", sge, str(pln), str(sgd)]) == 0
         assert "passages=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["sef"].update(efs=[99]),
+        lambda raw: raw["sef"].pop("efs"),
+        lambda raw: raw["formations"][0].pop("joints"),
+        lambda raw: raw["efs"][0].pop("defects"),
+    ], ids=["sef-efs-out-of-range", "no-sef-efs", "formation-no-joints",
+            "ef-no-defects"])
+    def test_plan_the_analyzer_would_trip_on(self, tmp_path, capsys, edit):
+        files = _channel_scenario()
+        for k, doc in files.items():
+            (tmp_path / f"a.{k}").write_text(doc)
+        argv = ["analyze"] + [str(tmp_path / f"a.{k}") for k in ("sge", "plan", "sgd")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        raw = json.loads(files["plan"])
+        edit(raw)
+        (tmp_path / "a.plan").write_text(json.dumps(raw))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRender:
     def small(self):

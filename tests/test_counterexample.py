@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from functools import cache
 
 import pytest
 
@@ -14,12 +15,12 @@ from simembed.counterexample import (
     Y_CAP,
     build_instance,
     compute_paper_parameters,
-    derive_cells,
     size_report,
     validate_structure,
 )
-from simembed.model import (PathGraph, Instance, Role, dump_instance,
-                            load_instance, validate_instance, tree_depth)
+from simembed.model import (FormatError, PathGraph, Instance, Role,
+                            RootedTree, dump_instance, load_instance,
+                            validate_instance, tree_depth)
 
 
 def reduced(s, x, **kw):
@@ -31,6 +32,31 @@ def reduced(s, x, **kw):
 
 
 LATTICE = [(2, 1), (2, 2), (3, 1), (3, 2)]
+# all five repetition counts at 1: the SEF skips its one tuple, so no
+# cell is visited
+ALL_ONES = [(2, 1, 1), (3, 1, 1), (2, 2, 2), (4, 1, 1)]
+
+
+@cache
+def built(s, x):
+    """build_instance(reduced(s, x)); callers must not mutate the plan."""
+    return build_instance(reduced(s, x))
+
+
+def visited_cells(plan):
+    """The plan's cells in visit order: SEF -> EF -> formation -> cell."""
+    return [plan.cells[c] for e in plan.sef["efs"]
+            for f in plan.efs[e]["formations"]
+            for c in plan.formations[f]["cells"]]
+
+
+def rethread(inst, plan):
+    """inst with its path re-threaded through the plan's visited cells;
+    the vertices after them keep their order."""
+    prefix = [v for c in visited_cells(plan) for v in c.path_order()]
+    seen = set(prefix)
+    rest = [v for v in inst.path.order if v not in seen]
+    return Instance(inst.tree, PathGraph.of(prefix + rest), True)
 
 
 class TestParams:
@@ -131,13 +157,41 @@ class TestDeskBuild:
 
     def test_cell_counts_derived_from_path(self):
         p = reduced(3, 1)
-        inst, _ = build_instance(p)
-        cells = derive_cells(inst)
+        inst, plan = build_instance(p)
+        cells = visited_cells(plan)
         assert len(cells) == p.joint_count() * p.cells_needed_per_joint()
+        prefix = [v for c in cells for v in c.path_order()]
+        assert list(inst.path.order[:len(prefix)]) == prefix
+        assert inst.path.order[len(prefix)] == inst.tree.root
         for c in cells:
-            assert (1, len(c["head2"]), len(c["head3"])) == (1, 6, 6)
-            assert (len(c["tail1"]), len(c["tail2"]), len(c["tail3"])) == (12, 72, 72)
-            assert len(c["stab"]) == 144
+            assert (1, len(c.head_2vertices), len(c.head_3vertices)) == (1, 6, 6)
+            assert (len(c.tail_1vertices), len(c.tail_2vertices),
+                    len(c.tail_3vertices)) == (12, 72, 72)
+            assert len(c.stabilizers) == 144
+
+    @pytest.mark.parametrize("p", [reduced(s, x) for s, x in LATTICE] + [
+        reduced(2, 1, sef_tuple=4, sef_reps=4, sef_efs=2, double_defects=True),
+        reduced(3, 1, formation_reps=1)])
+    def test_size_report_counts_the_built_vertices(self, p):
+        # the cap check reads size_report's count before building
+        assert size_report(p).vertices_total == build_instance(p)[0].tree.n
+
+    def test_schedules_by_hand(self):
+        # reduced(2, 2): y = 4 repetitions over x = 2 tuples, defect k mod 2
+        # with 0 read as 2; 4 SEF repetitions over 2 EF tuples likewise
+        _, plan = built(2, 2)
+        assert all(ef["defects"] == [1, 2, 1, 2] for ef in plan.efs)
+        assert plan.sef["defects"] == [[1], [2], [1], [2]]
+
+    @pytest.mark.parametrize("s,x,y", ALL_ONES)
+    def test_zero_visited_cells_valid(self, s, x, y):
+        p = CounterexampleParams(s=s, x=x, y=y, formation_reps=1,
+                                 formation_outer=1, sef_tuple=1, sef_efs=1,
+                                 sef_reps=1)
+        inst, plan = build_instance(p)
+        assert visited_cells(plan) == []
+        assert validate_instance(inst).valid
+        assert validate_structure(inst, p, plan).valid
 
     def test_deterministic(self):
         a, pa = build_instance(reduced(2, 2))
@@ -231,3 +285,124 @@ class TestValidatorCatchesMutations:
         order[ia:ia + la + lb] = rot[la:] + rot[:la]
         bad = Instance(inst.tree, PathGraph.of(order), True)
         assert not validate_structure(bad, p, plan).valid
+
+    def test_detects_swapped_cells_of_a_formation(self):
+        # plan and path agree, but the formation's joints now read
+        # h2 h1 h3 ... instead of h1 h2 h3 ...
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        cells = plan.formations[0]["cells"]
+        cells[0], cells[1] = cells[1], cells[0]
+        bad = rethread(inst, plan)
+        assert validate_instance(bad).valid
+        assert not validate_structure(bad, p, plan).valid
+
+    def test_detects_changed_ef_defect(self):
+        p = reduced(2, 2)
+        inst, plan = build_instance(p)
+        plan.efs[1]["defects"][2] = 2
+        assert not validate_structure(rethread(inst, plan), p, plan).valid
+
+    def test_detects_stabilizer_moved_between_cells_of_a_joint(self):
+        # formation cells 0 and 3 both sit on h1; the per-joint total stays
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        a, b = (plan.cells[c] for c in plan.formations[0]["cells"][:4:3])
+        assert a.joint == b.joint
+        v = a.stabilizers.pop()
+        b.stabilizers.append(v)
+        # the path moves v with it: out of a's run, to the end of b's
+        order = [u for u in inst.path.order if u != v]
+        order.insert(order.index(b.stabilizers[-2]) + 1, v)
+        bad = Instance(inst.tree, PathGraph.of(order), True)
+        assert validate_instance(bad).valid
+        assert not validate_structure(bad, p, plan).valid
+
+
+    def test_detects_changed_sef_defect(self):
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        plan.sef["defects"][0] = [2]
+        assert not validate_structure(inst, p, plan).valid
+
+    def test_detects_ef_the_sef_never_visits(self):
+        # analyze would assign the cells of a spare EF to it
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        plan.efs.append(dict(plan.efs[0]))
+        assert not validate_structure(inst, p, plan).valid
+
+    def test_detects_member_of_another_role(self):
+        # a cell's 1-vertex and its first stabilizer trade lists, on the
+        # plan and on the path: lengths, joints and totals stay
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        c = visited_cells(plan)[0]
+        c.head_1vertex, c.stabilizers[0] = c.stabilizers[0], c.head_1vertex
+        assert not validate_structure(rethread(inst, plan), p, plan).valid
+
+    def test_detects_member_below_another_joint(self):
+        # the 1-vertices of two cells on different joints trade places
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        a, b = visited_cells(plan)[:2]
+        assert a.joint != b.joint
+        a.head_1vertex, b.head_1vertex = b.head_1vertex, a.head_1vertex
+        assert not validate_structure(rethread(inst, plan), p, plan).valid
+
+    def test_detects_extra_stabilizer_on_a_joint(self):
+        # relabel the spare 1-vertex of a joint, which no cell holds, as a
+        # stabilizer: the joint now carries one stabilizer too many
+        p = reduced(2, 1)
+        inst, plan = build_instance(p)
+        held = {v for c in plan.cells for v in c.path_order()}
+        spare = next(v for v, r in enumerate(inst.tree.labels)
+                     if r is Role.B1 and v not in held)
+        labels = list(inst.tree.labels)
+        labels[spare] = Role.Stabilizer
+        tree = RootedTree.from_parent(list(inst.tree.parent), labels)
+        bad = Instance(tree, inst.path, True)
+        assert not validate_structure(bad, p, plan).valid
+
+class TestForeignPlans:
+    @pytest.mark.parametrize("pq", [(p, q) for p in LATTICE for q in LATTICE
+                                    if p != q], ids=str)
+    def test_plan_of_other_parameters_reported(self, pq):
+        # instance p with plan q: read against p the plan does not follow
+        # the program; read against q it names joints or vertices that
+        # instance p lacks, or vertices of other roles
+        (p, q) = pq
+        inst, _ = built(*p)
+        inst_q, plan = built(*q)
+        assert not validate_structure(inst, reduced(*p), plan).valid
+        rep = validate_structure(inst, reduced(*q), plan)
+        assert not rep.valid
+        if inst_q.tree.n > inst.tree.n:
+            assert any("outside the instance" in v for v in rep.violations)
+
+
+def _plan_without(path: tuple) -> str:
+    """The reduced(2, 1) plan's JSON with the key at path deleted."""
+    raw = json.loads(built(2, 1)[1].to_json())
+    d = raw
+    for k in path[:-1]:
+        d = d[k]
+    del d[path[-1]]
+    return json.dumps(raw)
+
+
+class TestPlanLoader:
+    @pytest.mark.parametrize("path", [
+        ("formations", 0, "joints"), ("formations", 0, "cells"),
+        ("efs", 0, "tuples"), ("efs", 0, "formations"), ("efs", 0, "defects"),
+        ("sef", "tuples"), ("sef", "efs"), ("sef", "defects"),
+        ("sef", "double")], ids=str)
+    def test_missing_key_rejected(self, path):
+        with pytest.raises(FormatError):
+            SequencePlan.from_json(_plan_without(path))
+
+    def test_sef_ef_id_out_of_range_rejected(self):
+        raw = json.loads(built(2, 1)[1].to_json())
+        raw["sef"]["efs"] = [99]
+        with pytest.raises(FormatError):
+            SequencePlan.from_json(json.dumps(raw))

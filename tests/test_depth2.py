@@ -115,7 +115,3 @@ class TestSuite:
     def test_exhaustive_n5(self):
         rep = enumerate_depth2_suite(5)
         assert rep.ok and rep.pairs > 0
-
-    def test_sampled_n9(self):
-        rep = enumerate_depth2_suite(9, trials=20, seed=3)
-        assert rep.ok

@@ -15,9 +15,10 @@ from simembed.geom import (
     SharedPoint,
     convex_hull,
     linear_separator,
+    int_coords,
+    int_point_in_convex_polygon,
+    int_point_in_triangle,
     orient,
-    point_in_convex_polygon,
-    point_in_triangle,
     segment_relation,
 )
 
@@ -89,28 +90,34 @@ class TestSegmentRelation:
         assert segment_relation(s1, s2) is segment_relation(s2, s1)
 
 
+def in_triangle(p, tri):
+    """int_point_in_triangle on the common integer scaling of p and tri."""
+    ip, *it = int_coords((p, *tri))
+    return int_point_in_triangle(ip, it)
+
+
 class TestPointInTriangle:
     tri = (P(0, 0), P(3, 0), P(0, 3))
 
     def test_centroid_inside(self):
-        assert point_in_triangle(P(1, 1), self.tri) is Position.Inside
+        assert in_triangle(P(1, 1), self.tri) is Position.Inside
 
     def test_vertex_on_boundary(self):
-        assert point_in_triangle(P(0, 0), self.tri) is Position.Boundary
+        assert in_triangle(P(0, 0), self.tri) is Position.Boundary
 
     def test_far_point_outside(self):
-        assert point_in_triangle(P(5, 5), self.tri) is Position.Outside
+        assert in_triangle(P(5, 5), self.tri) is Position.Outside
 
     def test_edge_midpoint_boundary(self):
-        assert point_in_triangle(P(Fraction(3, 2), 0), self.tri) is Position.Boundary
+        assert in_triangle(P(Fraction(3, 2), 0), self.tri) is Position.Boundary
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTriangle):
-            point_in_triangle(P(0, 0), (P(0, 0), P(1, 1), P(2, 2)))
+            in_triangle(P(0, 0), (P(0, 0), P(1, 1), P(2, 2)))
 
     def test_orientation_independent(self):
         cw = (P(0, 0), P(0, 3), P(3, 0))
-        assert point_in_triangle(P(1, 1), cw) is Position.Inside
+        assert in_triangle(P(1, 1), cw) is Position.Inside
 
 
 class TestConvexHull:
@@ -130,7 +137,8 @@ class TestConvexHull:
         h = convex_hull(pts)
         assert convex_hull(h) == h
         for p in pts:
-            assert point_in_convex_polygon(p, h) is not Position.Outside
+            ip, *ih = int_coords((p, *h))
+            assert int_point_in_convex_polygon(ip, ih) is not Position.Outside
 
 
 class TestLinearSeparator:
@@ -195,6 +203,6 @@ class TestLine:
         assert (l2.A, l2.B, l2.C) == (1, 0, 2)
 
     def test_through_points(self):
-        l = Line.through(P(0, 1), P(1, 1))
+        l = Line(0, 1, 1)  # y = 1, through (0, 1) and (1, 1)
         assert l.side(P(0, 0)) == -l.side(P(0, 2))
         assert l.side(P(5, 1)) == 0
