@@ -362,19 +362,11 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     ic = _Ints(d)
     out = []
     for idx in range(1, len(joints) - 1):
-        best = None
         right = _root_leaf_paths(i, joints[idx + 1])
-        for pa in _root_leaf_paths(i, joints[idx - 1]):
-            for pb in right:
-                if len(pa) < 2 or len(pb) < 2:
-                    continue
-                x = _mutual_prefix(ic, pa, pb)
-                key = (-x, pa, pb)
-                if best is None or key < best[0]:
-                    best = (key, pa, pb, x)
-        if best is None:
-            raise TooFewJoints(f"joint {joints[idx]} has no neighbouring paths")
-        _, pa, pb, x = best
+        negx, pa, pb = min((-_mutual_prefix(ic, pa, pb), pa, pb)
+                           for pa in _root_leaf_paths(i, joints[idx - 1])
+                           for pb in right)
+        x = -negx
         gates, segs = _build_segments(d, pa, pb, x)
         out.append(Channel(joints[idx], pa, pb, x, gates, segs,
                            d.point(i.tree.root)))

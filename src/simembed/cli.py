@@ -16,7 +16,6 @@ import json
 import sys
 
 from .analyzer import (
-    TooFewJoints,
     classify_connections,
     compute_channels,
     detect_cuts,
@@ -271,12 +270,7 @@ def cmd_analyze(args) -> int:
                             "status": door.status.value})
     joints = sorted(v for v in range(inst.tree.n)
                     if inst.tree.labels and inst.tree.role(v) is Role.Joint)
-    channels = []
-    if len(joints) >= 3:
-        try:
-            channels = compute_channels(inst, d, joints)
-        except TooFewJoints:
-            channels = []
+    channels = compute_channels(inst, d, joints) if len(joints) >= 3 else []
     for ch in channels:
         records.append({"kind": "channel", "joint": ch.joint, "x": ch.x,
                         "segments": len(ch.segments)})
@@ -405,6 +399,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the tree walks recurse once per level, vertex or depth
+        print("error: input nests too deeply for the recursive tree walks",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

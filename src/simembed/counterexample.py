@@ -178,12 +178,10 @@ class SequencePlan:
 
 @dataclass
 class SizeReport:
-    params: CounterexampleParams
     joints: int
     cells_per_joint: int
     cells_per_formation: int
     cells_per_formation_per_joint: int
-    branch_vertices: int
     cell_head_counts: tuple
     cell_tail_counts: tuple
     cell_stabilizers: int
@@ -200,7 +198,6 @@ class PaperParameters:
     s: int
     l: int
     t: int
-    n_bound: int
     degenerate: bool = False
 
 
@@ -213,8 +210,7 @@ def compute_paper_parameters(x: int) -> PaperParameters:
     s = (y - y // x) * PAPER_R1 * PAPER_R2
     l = (s - 1) ** 4 * 3**2 * x
     t = 3**2 * (s - 1) ** 4  # stabilizers per cell, from the interleaving rule
-    return PaperParameters(x=x, r=r, y=y, s=s, l=l, t=t, n_bound=y,
-                           degenerate=(x == 1))
+    return PaperParameters(x=x, r=r, y=y, s=s, l=l, t=t, degenerate=(x == 1))
 
 
 # --- desk-mode construction ----------------------------------------------
@@ -295,12 +291,10 @@ def size_report(p: CounterexampleParams) -> SizeReport:
     p.validate()
     counts = _cell_counts(p.s)
     return SizeReport(
-        params=p,
         joints=p.joint_count(),
         cells_per_joint=p.cells_needed_per_joint(),
         cells_per_formation=4 * p.formation_reps * p.formation_outer,
         cells_per_formation_per_joint=p.cells_per_joint_per_formation(),
-        branch_vertices=_branch_size(p.s),
         cell_head_counts=counts["head"],
         cell_tail_counts=counts["tail"],
         cell_stabilizers=counts["stabilizers"],

@@ -17,14 +17,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .geom import Line, Point, int_coords
+from .geom import Line, Point
 from .model import Drawing, FormatError, RootedTree
 from .planarity import (
     BudgetExceeded,
     CrossingReport,
     SearchResult,
     _place,
-    _square_symmetries,
     check_drawing,
 )
 
@@ -119,7 +118,7 @@ def _subdivide(t: LevelTree):
 
 def _ordering_oracle(t: LevelTree, budget: int):
     """Return (per-level orderings admitting no inversion or None, nodes);
-    nodes > budget means the budget ran out, as for _place."""
+    nodes > budget means the budget ran out."""
     n = t.tree.n
     lev, pedges, owner = _subdivide(t)
     levels: dict[int, list[int]] = {}
@@ -244,19 +243,13 @@ def search_level_planar(t: LevelTree, grid_width: int,
                 LevelStatus.BudgetExceeded, nodes=nodes,
                 note="combinatorial oracle inconclusive for long edges")
 
-    rows = {lv: [(x, lv) for x in range(1, grid_width + 1)] for lv in set(t.phi)}
-    cand = [rows[lv] for lv in t.phi]
-    found, gnodes = _place(t.tree.preorder(), cand, [t.tree.edges()],
-                           budget - nodes, _square_symmetries(cand),
-                           _sibling_cut(t))
-    if nodes + gnodes > budget:
-        return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
-    if found is None:
-        return SearchResult(LevelStatus.ExhaustedNone, nodes=nodes + gnodes,
-                            note=f"grid-relative (W={grid_width})")
-    d = Drawing({v: Point(*p) for v, p in enumerate(found)})
-    assert check_level_drawing(t, d).planar
-    return SearchResult(LevelStatus.Found, d, nodes + gnodes)
+    rows = {lv: [Point(x, lv) for x in range(1, grid_width + 1)] for lv in set(t.phi)}
+    res = _place(t.tree.preorder(), [rows[lv] for lv in t.phi], [t.tree.edges()],
+                 budget - nodes, LevelStatus.ExhaustedNone, _sibling_cut(t))
+    res.nodes += nodes
+    if res.status is LevelStatus.ExhaustedNone:
+        res.note = f"grid-relative (W={grid_width})"
+    return res
 
 
 # --- the ten-vertex gadget and its leveling scan --------------------------
@@ -371,8 +364,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                budget: int = 500_000_000) -> SearchResult:
     """Exhaustive search over per-region candidate placements.
 
-    Runs the forward-checking placement search with vertex v on the
-    candidates of region phi(v).  Its cuts (square symmetries of the
+    Runs the placement search (_place) with vertex v on the candidates
+    of region phi(v).  Its cuts (square symmetries of the
     candidates, interchangeable sibling subtrees) only quotient exact
     symmetries, so exhaustion over the reduced space is exhaustion over
     the grid.  The verdict is grid-relative evidence, recorded as such
@@ -380,29 +373,23 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     """
     if len(grid) != len(rs.lines):
         raise ValueError("one candidate list per region required")
-    pos_sys = rs.positions()
+    base, pos_sys = rs.lines[0], rs.positions()
     for i, pts in enumerate(grid):
         hi = pos_sys[i]
         lo = pos_sys[i - 1] if i > 0 else None
-        base = rs.lines[0]
         for p in pts:
             val = base.A * p.x + base.B * p.y
             if not (val < hi and (lo is None or val > lo)):
                 raise ValueError(f"candidate {p} not strictly inside region {i + 1}")
-
-    phi = t.phi
-    edges = t.tree.edges()
 
     # flat-row reduction: when every region's candidates share one line
     # parallel to the system lines, any placement is a level drawing on
     # those rows, so the combinatorial ordering oracle settles the whole
     # grid at once (its negative answer covers every row position; else
     # the placement search gets the budget it left)
-    base0 = rs.lines[0]
-    offsets = [{base0.A * p.x + base0.B * p.y for p in pts} for pts in grid]
     meta = {"per_region_candidates": [len(c) for c in grid]}
     onodes = 0
-    if all(len(o) == 1 for o in offsets):
+    if all(len({base.A * p.x + base.B * p.y for p in pts}) == 1 for pts in grid):
         ordering, onodes = _ordering_oracle(t, budget)
         meta.update(flat_rows=True, oracle_nodes=onodes)
         if onodes > budget:
@@ -415,29 +402,13 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
                                 nodes=onodes, metadata=meta)
 
-    flat = [p for pts in grid for p in pts]
-    ic = dict(zip(flat, int_coords(flat)))
-    icand = [[ic[p] for p in pts] for pts in grid]
-    cand = [icand[lv - 1] for lv in phi]
-    syms = _square_symmetries(cand)
-    after = _sibling_cut(t)
-    meta.update(square_symmetries=len(syms), sibling_cuts=len(after))
-    found, nodes = _place(t.tree.preorder(), cand, [edges], budget - onodes,
-                          syms, after)
-    nodes += onodes
-    if nodes > budget:
-        return SearchResult(RegionStatus.BudgetExceeded, nodes=nodes,
-                            metadata=meta)
-    meta["nodes"] = nodes
-    if found is None:
-        meta["claim"] = "no placement over the supplied grid (not a continuum proof)"
-        return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
-                            nodes=nodes, metadata=meta)
-    to_point = {q: p for p, q in ic.items()}
-    drawing = Drawing({v: to_point[q] for v, q in enumerate(found)})
-    rep = check_drawing(edges, drawing)
-    assert rep.planar
-    return SearchResult(RegionStatus.Found, drawing, nodes, metadata=meta)
+    res = _place(t.tree.preorder(), [grid[lv - 1] for lv in t.phi], [t.tree.edges()],
+                 budget - onodes, RegionStatus.ExhaustedNoneOverGrid, _sibling_cut(t))
+    res.nodes += onodes
+    res.metadata.update(meta, nodes=res.nodes)
+    if res.status is RegionStatus.ExhaustedNoneOverGrid:
+        res.metadata["claim"] = "no placement over the supplied grid (not a continuum proof)"
+    return res
 
 
 # --- .slt level-tree format -----------------------------------------------

@@ -205,31 +205,43 @@ def _blocked(q, p, ends, segs) -> bool:
     return False
 
 
-def _place(order, cand, graphs, budget, syms=(), after=None):
-    """Forward-checking backtracking over vertex-to-candidate maps.
+def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
+    """Forward-checking backtracking over vertex-to-candidate maps: the one
+    placement engine of the three searches.
 
-    Vertex v takes one of the integer points cand[v], vertices in the
-    given order.  Edges of one graph may not meet other than at a shared
-    endpoint; edges of different graphs may cross; no vertex may lie on
-    an edge of any graph it is not an endpoint of.  Each unplaced vertex
-    keeps a bitmask domain: placing a vertex removes from every domain
-    its point, the points on its new edges, and the points whose edges
-    to placed neighbours would meet a placed edge of their graph or a
-    placed vertex.  A point taken from a domain is therefore consistent
-    with the whole placement so far, and an emptied domain backtracks
-    (Haralick and Elliott, 1980).
+    Vertex v takes one of the points cand[v], vertices in the given order;
+    a list may be shared between vertices.  The denominators of all lists
+    are cleared at once (int_coords), and the search runs on integers.
+    Edges of one graph may not meet other than at a shared endpoint;
+    edges of different graphs may cross; no vertex may lie on an edge of
+    any graph it is not an endpoint of.  Each unplaced vertex keeps a
+    bitmask domain: placing a vertex removes from every domain its point,
+    the points on its new edges, and the points whose edges to placed
+    neighbours would meet a placed edge of their graph or a placed vertex.
+    A point taken from a domain is therefore consistent with the whole
+    placement so far, and an emptied domain backtracks (Haralick and
+    Elliott, 1980).
 
-    Cuts, each sound for the searches that pass it: order[0] takes only
-    the first point of its list in each orbit of `syms`, a group of
-    symmetries of the candidates; a vertex v in `after` takes a larger
-    index in its list than vertex after[v], placed before it in the same
-    list.
+    Two cuts, each sound for every caller: order[0] takes only the first
+    point of its list in each orbit of the square symmetries that map
+    every list onto itself (_square_symmetries); a vertex v in `after`
+    takes a larger index in its list than vertex after[v], placed before
+    it in the same list.
 
-    Returns (points per vertex or None, nodes); nodes > budget means the
-    budget ran out.
+    Returns the SearchResult, with statuses from the enum of `none`, the
+    caller's negative answer.  Found carries the drawing on the given
+    points, re-checked by check_drawing on every graph.  Once `budget`
+    nodes are spent the answer is BudgetExceeded with nodes == budget.
+    metadata counts the square symmetries and the sibling cuts.
     """
     n = len(order)
     after = after or {}
+    lists = {id(c): c for c in cand}  # shared lists stay shared
+    flat = iter(int_coords(p for c in lists.values() for p in c))
+    ints = {k: [next(flat) for _ in c] for k, c in lists.items()}
+    icand = [ints[id(c)] for c in cand]
+    syms = _square_symmetries(icand)
+    meta = {"square_symmetries": len(syms), "sibling_cuts": len(after)}
     nbrs = [[[] for _ in range(n)] for _ in graphs]
     for g, es in enumerate(graphs):
         for u, v in es:
@@ -238,10 +250,10 @@ def _place(order, cand, graphs, budget, syms=(), after=None):
     pos: list = [None] * n
     idx = [0] * n
     fixed: list[list] = [[] for _ in graphs]  # placed edges per graph
-    dom = [(1 << len(c)) - 1 for c in cand]
+    dom = [(1 << len(c)) - 1 for c in icand]
     root = order[0]
-    at = {p: i for i, p in enumerate(cand[root])}
-    dom[root] = sum(1 << i for i, p in enumerate(cand[root])
+    at = {p: i for i, p in enumerate(icand[root])}
+    dom[root] = sum(1 << i for i, p in enumerate(icand[root])
                     if all(i <= at[s[p]] for s in syms))
     nodes = 0
 
@@ -264,7 +276,7 @@ def _place(order, cand, graphs, budget, syms=(), after=None):
                     (pos[y], [(a, p) for h, a in new if h == g], (p,))
                     for g, nb in enumerate(nbrs) for y in nb[w]
                     if pos[y] is not None]
-            c, d, keep = cand[w], dom[w], dom[w]
+            c, d, keep = icand[w], dom[w], dom[w]
             while d:
                 bit = d & -d
                 d ^= bit
@@ -301,7 +313,7 @@ def _place(order, cand, graphs, budget, syms=(), after=None):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded
-            step = prune(v, cand[v][i])
+            step = prune(v, icand[v][i])
             if step is None:
                 continue
             idx[v] = i
@@ -310,22 +322,29 @@ def _place(order, cand, graphs, budget, syms=(), after=None):
             undo(v, *step)
         return False
 
+    status = type(none)
     try:
-        return (pos if rec(0) else None), nodes
+        if not rec(0):
+            return SearchResult(none, None, nodes, metadata=meta)
     except BudgetExceeded:
-        return None, nodes
+        return SearchResult(status.BudgetExceeded, None, budget, metadata=meta)
+    d = Drawing({v: cand[v][idx[v]] for v in range(n)})
+    assert all(check_drawing(es, d).planar for es in graphs)
+    return SearchResult(status.Found, d, nodes, metadata=meta)
 
 
 def search_embedding(i: Instance, candidate_points: Sequence[Point],
                      budget: int = 10**7) -> SearchResult:
     """Exhaustive search over injective vertex-to-point assignments.
 
-    Runs the forward-checking placement search on tree and path together,
+    Runs the placement search (_place) on tree and path together,
     vertices in tree preorder, candidates in lexicographic order, so the
     first drawing found is the least one under that exploration order.
-    The one symmetry cut keeps the root to one point per orbit of the
-    symmetries of the candidates' bounding-box square that map the
-    candidate set onto itself, so ProvedNone holds for the whole set.
+    Its one cut keeps the root to one point per orbit of the symmetries of
+    the candidates' bounding-box square that map the candidate set onto
+    itself, so ProvedNone holds for the whole set.  A drawing found passes
+    check_drawing on tree and path; BudgetExceeded reports the budget as
+    its nodes.
     """
     rep = validate_instance(i)
     if not rep.valid:
@@ -334,18 +353,6 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
     pts = sorted(set(candidate_points), key=Point.sortkey)
     if len(pts) < n:
         return SearchResult(SearchStatus.ProvedNone)
-
-    ipts = int_coords(pts)
-    to_point = dict(zip(ipts, pts))
-    cand = [ipts] * n
-    found, nodes = _place(i.tree.preorder(), cand,
-                          [i.tree.edges(), i.path.edges()], budget,
-                          _square_symmetries(cand))
-    if nodes > budget:
-        return SearchResult(SearchStatus.BudgetExceeded, None, nodes)
-    if found is None:
-        return SearchResult(SearchStatus.ProvedNone, None, nodes)
-    d = Drawing({v: to_point[p] for v, p in enumerate(found)})
-    tr, pr = check_simultaneous(i, d)
-    assert tr.planar and pr.planar
-    return SearchResult(SearchStatus.Found, d, nodes)
+    return _place(i.tree.preorder(), [pts] * n,
+                  [i.tree.edges(), i.path.edges()], budget,
+                  SearchStatus.ProvedNone)

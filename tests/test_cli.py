@@ -588,3 +588,35 @@ class TestMalformedInputFuzz:
         if code == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+class TestSearchStats:
+    def test_every_placement_record_counts_its_cuts(self, tmp_path, capsys):
+        sge = write_instance(tmp_path, depth2_instance())
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 0]), (1, 2, 2))
+        slt, rslt = tmp_path / "l.slt", tmp_path / "r.slt"
+        slt.write_text(dump_level_tree(lt))
+        rslt.write_text(dump_level_tree(lt, RegionSystem.horizontal([0, 1])))
+        for argv in (["search", sge, "--grid", "3"],
+                     ["level-search", str(slt), "--method", "grid"],
+                     ["level-search", str(rslt), "--grid", "3"]):
+            assert main(argv + ["--format", "records"]) == 0
+            # the record is the first line; search then prints its drawing
+            out = capsys.readouterr().out.splitlines()[0]
+            meta = json.loads(out)["metadata"]
+            for key in ("square_symmetries", "sibling_cuts"):
+                assert type(meta[key]) is int, (argv, key)
+
+
+class TestDeepInput:
+    def test_deep_path_is_a_usage_error(self, tmp_path, capsys):
+        # a 3,000-level path outgrows the recursive tree walks
+        n = 3000
+        slt = tmp_path / "deep.slt"
+        slt.write_text(f"slt 1 {n} {n}\n"
+                       "tree - " + " ".join(map(str, range(n - 1))) + "\n"
+                       "phi " + " ".join(map(str, range(1, n + 1))) + "\n")
+        assert main(["level-search", str(slt), "--grid", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

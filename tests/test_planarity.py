@@ -349,3 +349,50 @@ class TestSearchEmbedding:
         r2 = search_embedding(inst, list(reversed(pts)))
         assert r1.status is SearchStatus.Found
         assert r1.drawing == r2.drawing
+
+
+# the ten-vertex gadget and a path through it, as in the benchmark's
+# search workload, and a leveling of the gadget whose ordering oracle
+# needs more than 400 nodes
+GADGET = RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3, 1, 2, 3])
+GADGET_INSTANCE = Instance(GADGET, PathGraph.of([9, 4, 8, 3, 7, 2, 6, 1, 5, 0]))
+GRID4 = [P(x, y) for x in range(4) for y in range(4)]
+LEVELED = (1, 3, 2, 4, 1, 4, 3, 1, 4, 1)
+
+
+def _budget_case(path, budget):
+    from simembed.leveltree import (LevelTree, RegionSystem, region_candidates,
+                                    search_level_planar,
+                                    search_region_level_planar)
+    lt = LevelTree.of(GADGET, LEVELED)
+    rs = RegionSystem.horizontal(range(4))
+    if path == "embedding":
+        return search_embedding(GADGET_INSTANCE, GRID4, budget=budget)
+    if path == "region":
+        grid = region_candidates(rs, per_axis=2, span=3)
+        return search_region_level_planar(lt, rs, grid, budget=budget)
+    if path == "flat-row":
+        grid = [[P(Fraction(x), Fraction(2 * i - 1, 2)) for x in range(1, 8)]
+                for i in range(4)]
+        return search_region_level_planar(lt, rs, grid, budget=budget)
+    return search_level_planar(lt, 10, budget=budget, method=path)
+
+
+class TestPlacementFrontEnd:
+    @pytest.mark.parametrize("path, budget", [
+        ("embedding", 50), ("grid", 50), ("combinatorial", 50), ("auto", 50),
+        ("region", 5), ("flat-row", 100)])
+    def test_budget_exceeded_reports_the_budget(self, path, budget):
+        # one rule on every path: a search that runs out of its budget
+        # has spent exactly the budget
+        res = _budget_case(path, budget)
+        assert res.status.name == "BudgetExceeded"
+        assert res.nodes == budget
+
+    def test_gadget_exploration_order(self):
+        # the node count pins the candidate order, the root cut and the
+        # forward check; the drawing is the least under that order
+        res = search_embedding(GADGET_INSTANCE, GRID4)
+        assert (res.status, res.nodes) == (SearchStatus.Found, 254)
+        tr, pr = check_simultaneous(GADGET_INSTANCE, res.drawing)
+        assert tr.planar and pr.planar
