@@ -44,7 +44,8 @@ from .model import (
     load_instance,
     tree_depth,
 )
-from .planarity import SearchResult, check_simultaneous, search_embedding
+from .planarity import (DEFAULT_BUDGET, SearchResult, check_simultaneous,
+                        search_embedding)
 from .geom import Point
 
 EXIT_CLEAN = 0
@@ -245,12 +246,14 @@ def cmd_search(args) -> int:
 def cmd_level_search(args) -> int:
     lt, rs = load_level_tree(_read(args.leveltree))
     if rs is not None:
+        if args.method is not None:
+            raise ValueError("--method applies only to level trees without lines")
         grid = region_candidates(rs, per_axis=args.grid, span=args.grid)
         return _answer(args, search_region_level_planar(lt, rs, grid,
                                                         budget=args.budget))
     return _answer(args, search_level_planar(lt, grid_width=args.grid,
                                              budget=args.budget,
-                                             method=args.method))
+                                             method=args.method or "auto"))
 
 
 def cmd_analyze(args) -> int:
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument("--grid", type=_positive_int, default=4,
                    help="use the integer grid of this width as candidates")
-    s.add_argument("--budget", type=_positive_int, default=10_000_000)
+    s.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     s.add_argument("--out")
     s.add_argument("--format", choices=("text", "records"), default="text")
     s.set_defaults(func=cmd_search)
@@ -371,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     ls = sub.add_parser("level-search", help="level/region planarity search")
     ls.add_argument("leveltree")
     ls.add_argument("--grid", type=_positive_int, default=6)
-    ls.add_argument("--budget", type=_positive_int, default=10_000_000)
+    ls.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     ls.add_argument("--method", choices=("auto", "grid", "combinatorial"),
-                    default="auto")
+                    help="level trees only (default auto)")
     ls.add_argument("--format", choices=("text", "records"), default="text")
     ls.set_defaults(func=cmd_level_search)
 

@@ -60,9 +60,6 @@ class Point:
     def dot(self, other: "Point") -> Fraction:
         return self.x * other.x + self.y * other.y
 
-    def sortkey(self):
-        return (self.x, self.y)
-
     def __repr__(self):
         return f"({self.x}, {self.y})"
 

@@ -15,11 +15,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import inf
 from typing import Optional, Sequence
 
 from .geom import Line, Point
 from .model import Drawing, FormatError, RootedTree
 from .planarity import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CrossingReport,
     SearchResult,
@@ -95,61 +97,60 @@ def _sibling_cut(t: LevelTree) -> dict[int, int]:
 # no subdivision happens and the oracle is exact in both directions.
 
 def _subdivide(t: LevelTree):
+    """Return each used level's vertices by rank in id order, each vertex's
+    neighbours one rank up, and each dummy's leaf: its tree edge's child."""
     n = t.tree.n
     # number the used levels densely: a level holding only dummies adds no
     # constraint, so a chain needs one dummy per used level it passes
     rank = {lv: i for i, lv in enumerate(sorted(set(t.phi)))}
-    lev = {v: rank[t.phi[v]] for v in range(n)}
-    pedges = []
-    owner = {}  # dummy -> the leaf endpoint of its chain (symmetry tag)
-    nxt = n
+    lev = [rank[x] for x in t.phi]
+    levels = [[] for _ in rank]
+    for v in range(n):
+        levels[lev[v]].append(v)
+    up = [[] for _ in range(n)]
+    leaf = {}
     for u, v in t.tree.edges():
         a, b = (u, v) if lev[u] < lev[v] else (v, u)
-        prev = a
         for level in range(lev[a] + 1, lev[b]):
-            lev[nxt] = level
-            pedges.append((prev, nxt))
-            owner[nxt] = v
-            prev = nxt
-            nxt += 1
-        pedges.append((prev, b))
-    return lev, pedges, owner
+            d = len(up)  # the next dummy
+            leaf[d] = v
+            levels[level].append(d)
+            up.append([a])
+            a = d
+        up[b].append(a)
+    return levels, up, leaf
 
 
 def _ordering_oracle(t: LevelTree, budget: int):
     """Return (per-level orderings admitting no inversion or None, nodes);
-    nodes > budget means the budget ran out."""
-    n = t.tree.n
-    lev, pedges, owner = _subdivide(t)
-    levels: dict[int, list[int]] = {}
-    for v in sorted(lev):
-        levels.setdefault(lev[v], []).append(v)
-    ks = sorted(levels)
-    by_lo: dict[int, list] = {}
-    for u, v in pedges:
-        lo = min(lev[u], lev[v])
-        by_lo.setdefault(lo, []).append((u, v) if lev[u] == lo else (v, u))
+    nodes > budget means the budget ran out.
 
+    Levels fill top down, each left to right.  Appending v makes no
+    inversion exactly when v's leftmost neighbour above is not left of
+    the rightmost neighbour above of a vertex already on its level (equal
+    positions are one shared neighbour): one test against a frontier `hi`."""
+    levels, up, leaf = _subdivide(t)
     # interchangeable leaves: the sibling cut restricted to leaves (same
-    # parent, same level; their dummy chains are isomorphic, so one fixed
+    # parent and level, so isomorphic dummy chains on the same levels: one
     # relative order suffices).  Each maps to the leaf that must precede it.
     sym_later = {v: u for v, u in _sibling_cut(t).items()
                  if not t.tree.children(v)}
 
     def tag(v):
-        return v if v < n else owner[v]
+        return leaf.get(v, v)
 
     nodes = 0
 
     def rec(i, pos):
-        nonlocal nodes
-        if i == len(ks):
+        if i == len(levels):
             return pos
-        k = ks[i]
-        members = levels[k]
-        es = by_lo.get(k - 1, [])
+        members = levels[i]
+        span = {}  # v -> positions of its leftmost and rightmost neighbour above
+        for v in members:
+            ps = [pos[u] for u in up[v]]
+            span[v] = (min(ps, default=inf), max(ps, default=-1))
 
-        def place(chosen, remaining):
+        def place(chosen, remaining, hi):
             nonlocal nodes
             if not remaining:
                 p2 = dict(pos)
@@ -157,42 +158,26 @@ def _ordering_oracle(t: LevelTree, budget: int):
                     p2[v] = idx
                 return rec(i + 1, p2)
             chosen_tags = {tag(w) for w in chosen}
-            member_tags = {tag(w) for w in members}
             for v in sorted(remaining):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded
-                tv = tag(v)
-                first = sym_later.get(tv)
-                if (first is not None and first in member_tags
-                        and first not in chosen_tags):
+                first = sym_later.get(tag(v))
+                if first is not None and first not in chosen_tags:
                     continue  # equivalent leaf chain must come first
-                ok = True
-                p2 = {w: idx for idx, w in enumerate(chosen)}
-                p2[v] = len(chosen)
-                for u1, v1 in es:
-                    if v1 != v:
-                        continue
-                    for u2, v2 in es:
-                        if v2 == v or v2 not in p2 or u1 == u2 or v1 == v2:
-                            continue
-                        if (pos[u1] < pos[u2]) != (p2[v1] < p2[v2]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                lo, top = span[v]
+                if lo < hi:
                     continue
                 chosen.append(v)
                 remaining.remove(v)
-                r = place(chosen, remaining)
+                r = place(chosen, remaining, max(hi, top))
                 remaining.add(v)
                 chosen.pop()
                 if r is not None:
                     return r
             return None
 
-        return place([], set(members))
+        return place([], set(members), -1)
 
     try:
         return rec(0, {}), nodes
@@ -203,7 +188,7 @@ def _ordering_oracle(t: LevelTree, budget: int):
 # --- geometric searches ---------------------------------------------------
 
 def search_level_planar(t: LevelTree, grid_width: int,
-                        budget: int = 20_000_000,
+                        budget: int = DEFAULT_BUDGET,
                         method: str = "auto") -> SearchResult:
     """Decide level planarity over injective x-assignments from {1..W}.
 
@@ -361,7 +346,7 @@ class RegionStatus(Enum):
 
 def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                grid: Sequence[Sequence[Point]],
-                               budget: int = 500_000_000) -> SearchResult:
+                               budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exhaustive search over per-region candidate placements.
 
     Runs the placement search (_place) with vertex v on the candidates

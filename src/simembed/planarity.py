@@ -15,6 +15,8 @@ from .model import Drawing, Instance, validate_instance
 
 Edge = tuple[int, int]
 
+DEFAULT_BUDGET = 10_000_000  # search nodes, for every search and the CLI
+
 
 class PlanarityError(ValueError):
     pass
@@ -334,7 +336,7 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
 
 
 def search_embedding(i: Instance, candidate_points: Sequence[Point],
-                     budget: int = 10**7) -> SearchResult:
+                     budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Exhaustive search over injective vertex-to-point assignments.
 
     Runs the placement search (_place) on tree and path together,
@@ -350,7 +352,11 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
     if not rep.valid:
         raise PlanarityError("invalid instance: " + "; ".join(rep.violations))
     n = i.tree.n
-    pts = sorted(set(candidate_points), key=Point.sortkey)
+    # de-duplicated and sorted on integer coordinates: one positive scale
+    # keeps the lexicographic order
+    pts = list(candidate_points)
+    by_int = dict(zip(int_coords(pts), pts))
+    pts = [by_int[k] for k in sorted(by_int)]
     if len(pts) < n:
         return SearchResult(SearchStatus.ProvedNone)
     return _place(i.tree.preorder(), [pts] * n,

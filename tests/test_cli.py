@@ -428,6 +428,16 @@ class TestUsageErrors:
         assert main(["level-search", str(slt)]) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("method", ["auto", "grid", "combinatorial"])
+    def test_method_with_region_lines(self, tmp_path, capsys, method):
+        # the region search has no method; a given --method is refused
+        slt = tmp_path / "r.slt"
+        slt.write_text("slt 1 2 2\ntree - 0\nphi 1 2\nlines 0 1 0\nlines 0 1 1\n")
+        assert main(["level-search", str(slt), "--grid", "3"]) == 0
+        capsys.readouterr()
+        assert main(["level-search", str(slt), "--method", method]) == 2
+        self.assert_one_error_line(capsys)
+
     def test_roles_length_mismatch(self, tmp_path, capsys):
         sge = tmp_path / "a.sge"
         sge.write_text("sge 1 3\ntree - 0 0\npath 1 0 2\nroles R\n")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -117,6 +118,42 @@ class TestSearchLevelPlanar:
         assert res.status is LevelStatus.Found and res.nodes == total
         res = search_level_planar(lt, 6, budget=total - 1)
         assert res.status is LevelStatus.BudgetExceeded
+
+
+def _oracle_corpus():
+    """300 surjective gadget 4-levelings and 300 random leveled trees with
+    n <= 12, drawn from one seed."""
+    rng = random.Random(2010)
+    cases = []
+    while len(cases) < 600:
+        if len(cases) < 300:
+            t, k = GADGET, 4
+        else:
+            n = rng.randint(2, 12)
+            t = RootedTree.from_parent([None] + [rng.randrange(v) for v in range(1, n)])
+            k = rng.randint(2, 6)
+        phi = [rng.randint(1, k) for _ in range(t.n)]
+        if t is GADGET and len(set(phi)) < 4:
+            continue
+        if all(phi[u] != phi[v] for u, v in t.edges()):
+            cases.append(LevelTree.of(t, phi))
+    return cases
+
+
+class TestOracleExploration:
+    # the digest of every answer, node count and drawing on the corpus,
+    # recorded from the edge-pair oracle the frontier test replaced
+    DIGEST = "8b4c678aea9791bee1f8a3f637d7294b4d714c781a191717240ffdda30f3a9b7"
+
+    def test_answers_and_node_counts_are_pinned(self):
+        h = hashlib.sha256()
+        for lt in _oracle_corpus():
+            res = search_level_planar(lt, lt.tree.n, budget=30_000,
+                                      method="combinatorial")
+            pos = res.drawing.pos if res.drawing else {}
+            h.update(f"{res.status.value} {res.nodes} {res.note} "
+                     f"{sorted(pos.items())}\n".encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 def gadget_automorphisms():
