@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import json
+import tracemalloc
 from dataclasses import asdict
 from functools import cache
 
@@ -241,6 +244,46 @@ class TestDeskBuild:
         assert validate_instance(back).valid
         assert inst.tree.n == 45_297
         assert len(plan.cells) == 144
+
+    def test_output_bytes_pinned(self):
+        # every instance and plan byte over a small parameter grid; the
+        # digest was taken from the per-vertex builder, so any rewrite of
+        # build_instance must reproduce its output exactly
+        h = hashlib.sha256()
+        for (s, x, y, reps, outer, sef_tuple, sef_efs, sef_reps,
+             double) in itertools.product((2, 3), (1, 2), (2, 4), (1, 2),
+                                          (1, 2), (1, 2), (1, 2, 3), (2, 4),
+                                          (False, True)):
+            p = CounterexampleParams(s, x, y, reps, outer, sef_tuple, sef_efs,
+                                     sef_reps, double, cap=20_000)
+            try:
+                inst, plan = build_instance(p)
+            except ValueError as e:
+                h.update(type(e).__name__.encode())
+                continue
+            h.update(dump_instance(inst).encode())
+            h.update(plan.to_json().encode())
+        assert h.hexdigest() == (
+            "3904418ca97a4e3f4d86b770b04959d736f24b645beee564eaffc0c796dc0677")
+
+    def test_largest_build_memory(self):
+        # tracemalloc counts are deterministic for one Python version; the
+        # bounds are the per-vertex builder's figures on Python 3.11.7
+        # (7,379,016 bytes peak, 3,527,564 held) plus 3%.  A builder that
+        # makes a fresh int per parent entry or cell member instead of
+        # sharing the vertex ids holds about 20% more.
+        p = CounterexampleParams(s=3, x=2, y=4, formation_reps=2,
+                                 formation_outer=1, sef_tuple=2, sef_efs=2,
+                                 sef_reps=4)
+        tracemalloc.start()
+        try:
+            inst, plan = build_instance(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.tree.n == 45_297 and len(plan.cells) == 144
+        assert peak <= 7_379_016 * 1.03
+        assert held <= 3_527_564 * 1.03
 
 
 class TestValidatorCatchesMutations:
