@@ -14,9 +14,9 @@ evaluates exact counts, at full scale too.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, filterfalse
 from math import comb, ceil
 from typing import Optional
 
@@ -112,12 +112,9 @@ class CellLayout:
         3-vertices each followed by a stabilizer.  ValueError when a
         follower list does not match the list it interleaves."""
         seq = [self.head_1vertex]
-        for pair in zip(self.head_2vertices + self.head_3vertices,
-                        self.tail_1vertices, strict=True):
-            seq += pair
-        for pair in zip(self.tail_2vertices + self.tail_3vertices,
-                        self.stabilizers, strict=True):
-            seq += pair
+        for xs, ys in ((self.head_2vertices + self.head_3vertices, self.tail_1vertices),
+                       (self.tail_2vertices + self.tail_3vertices, self.stabilizers)):
+            seq += chain.from_iterable(zip(xs, ys, strict=True))
         return seq
 
 
@@ -241,48 +238,42 @@ def _estimate_vertices(p: CounterexampleParams) -> int:
     return 1 + q + q * per_joint
 
 
-def _distribute_set(branches: list[dict], stab_pool: list[int],
-                    joint: int, base_index: int, s: int) -> list[CellLayout]:
-    """Split one set of s head branches plus its tail branches and
-    stabilizers into s cells.
+def _distribute_set(s: int) -> list[tuple]:
+    """How one set of cells is dealt, as indices into the set's ids.
 
-    branches[0:s] are the head branches; the rest form 3(s-1)^2 tail
-    subsets of s branches each.  Within a subset, cell r owns the root of
-    its r-th branch, three 2-vertices of every other branch, and one
-    3-vertex of every 2-vertex it does not own outside its own branch.
+    A set's ids run through its branches in order, each the root, its
+    3(s-1) 2-vertices, then the s-2 3-vertices of each 2-vertex in turn;
+    its s cells' stabilizers come last.  Branches 0..s-1 are the head
+    subset; the rest form 3(s-1)^2 tail subsets of s branches each.
+    Within a subset, index branches k and cells r from 0.  Cell r takes
+    the root of branch r and, from every branch k != r:
+      - the 2-vertices 3*pos .. 3*pos+2, where pos = r if r < k else r-1;
+      - for each other 2-vertex i of branch k, whose owner is o = i//3
+        (plus 1 when i//3 >= k): when o != r, the 3-vertex of i with
+        index r - [k < r] - [o < r].
+    Cell r then takes the r-th run of stabilizers.  Returns per cell the
+    head 1-vertex and the other six lists of a CellLayout, in field order.
     """
-    cells = [CellLayout(joint, base_index + r) for r in range(s)]
-
-    def deal(subset, into_head: bool):
-        # ownership of 2-vertices: branch k's 3(s-1) 2-vertices go three
-        # apiece to every cell r != k, in index order
-        owner_of = {}
-        for k, br in enumerate(subset):
-            others = [r for r in range(s) if r != k]
-            for idx, w in enumerate(br["twos"]):
-                owner_of[w] = others[idx // 3]
-        for r, c in enumerate(cells):
-            one = subset[r]["root"]
-            twos = [w for k, br in enumerate(subset) if k != r
-                    for w in br["twos"] if owner_of[w] == r]
-            threes = [br["threes"][w].pop(0) for k, br in enumerate(subset)
-                      if k != r for w in br["twos"] if owner_of[w] != r]
-            if into_head:
-                c.head_1vertex = one
-                c.head_2vertices.extend(twos)
-                c.head_3vertices.extend(threes)
-            else:
-                c.tail_1vertices.append(one)
-                c.tail_2vertices.extend(twos)
-                c.tail_3vertices.extend(threes)
-
-    deal(branches[:s], True)
-    tail = branches[s:]
-    for i in range(0, len(tail), s):
-        deal(tail[i:i + s], False)
-    per_cell = _cell_counts(s)["stabilizers"]
+    m2, m3, bsize = 3 * (s - 1), s - 2, _branch_size(s)
+    nb, stabs = _branches_per_set(s), _cell_counts(s)["stabilizers"]
+    cells = []
     for r in range(s):
-        cells[r].stabilizers = stab_pool[r * per_cell:(r + 1) * per_cell]
+        lists = [[], [], [], [], [], []]
+        for b in range(0, nb, s):
+            ones, twos, threes = lists[:3] if b == 0 else lists[3:]
+            ones.append((b + r) * bsize)
+            for k in range(s):
+                if k == r:
+                    continue
+                at = (b + k) * bsize + 1
+                pos = r if r < k else r - 1
+                twos += range(at + 3 * pos, at + 3 * pos + 3)
+                for i in range(m2):
+                    o = i // 3 + (i // 3 >= k)
+                    if o != r:
+                        threes.append(at + m2 + i * m3 + r - (k < r) - (o < r))
+        first = nb * bsize + r * stabs
+        cells.append((lists[0][0], *lists[1:], range(first, first + stabs)))
     return cells
 
 
@@ -346,39 +337,45 @@ def build_instance(p: CounterexampleParams):
     if n_est > p.cap:
         raise CapExceeded(f"instance would have {n_est} vertices (cap {p.cap})")
 
-    parent: list[Optional[int]] = [None]
-    labels: list[Role] = [Role.Root]
+    # each block of vertices as its parents, indices into the block's ids
+    # with its joint at -1, and its roles
+    s, q = p.s, p.joint_count()
+    m2, m3, bsize = 3 * (s - 1), s - 2, _branch_size(s)
+    nb, stabs = _branches_per_set(s), s * counts["stabilizers"]
+    branch = [0] * m2 + [1 + i for i in range(m2) for _ in range(m3)]
+    cell_set = ([a for at in range(0, nb * bsize, bsize)
+                 for a in [-1] + [at + d for d in branch]] + [-1] * stabs,
+                ([Role.B1] + [Role.B2] * m2 + [Role.B3] * (m2 * m3)) * nb
+                + [Role.Stabilizer] * stabs)
+    # one spare subtree per joint, never visited by a cell; it gives the
+    # path completion vertices not adjacent to the root and keeps the
+    # depth at 4 even when branches carry no 3-vertices (s = 2).  Each of
+    # its 2-vertices is followed at once by its 3-vertices.
+    m3 = max(1, m3)
+    spare = ([-1] + [a for at in range(1, 1 + m2 * (1 + m3), 1 + m3)
+                     for a in [0] + [at] * m3],
+             [Role.B1] + ([Role.B2] + [Role.B3] * m3) * m2)
+    deal = _distribute_set(s)
 
-    def new_vertex(par: int, role: Role) -> int:
-        parent.append(par)
-        labels.append(role)
-        return len(parent) - 1
+    parent: list[Optional[int]] = [None] + [0] * q
+    labels = [Role.Root] + [Role.Joint] * q
 
-    q = p.joint_count()
-    joints = [new_vertex(0, Role.Joint) for _ in range(q)]
+    def block(parents, roles, joint) -> list[int]:
+        # the block's ids, one int each: parents and cells share them
+        ids = [*range(len(parent), len(parent) + len(roles)), joint]
+        parent.extend(map(ids.__getitem__, parents))
+        labels.extend(roles)
+        return ids
 
-    per_joint = ceil(p.cells_needed_per_joint() / p.s) * p.s  # whole sets
-    plan = SequencePlan(p.s)
-    for jpos, j in enumerate(joints):
-        for base in range(0, per_joint, p.s):
-            branches = []
-            for _ in range(_branches_per_set(p.s)):
-                root = new_vertex(j, Role.B1)
-                twos = [new_vertex(root, Role.B2) for _ in range(3 * (p.s - 1))]
-                threes = {w: [new_vertex(w, Role.B3) for _ in range(p.s - 2)]
-                          for w in twos}
-                branches.append({"root": root, "twos": twos, "threes": threes})
-            stab_pool = [new_vertex(j, Role.Stabilizer)
-                         for _ in range(p.s * counts["stabilizers"])]
-            plan.cells += _distribute_set(branches, stab_pool, jpos, base, p.s)
-        # one spare subtree per joint, never visited by a cell; it gives
-        # the path completion vertices not adjacent to the root and keeps
-        # the depth at 4 even when branches carry no 3-vertices (s = 2)
-        spare = new_vertex(j, Role.B1)
-        for _ in range(3 * (p.s - 1)):
-            w = new_vertex(spare, Role.B2)
-            for _ in range(max(1, p.s - 2)):
-                new_vertex(w, Role.B3)
+    per_joint = ceil(p.cells_needed_per_joint() / s) * s  # whole sets
+    plan = SequencePlan(s)
+    for jpos in range(q):
+        for base in range(0, per_joint, s):
+            take = block(*cell_set, jpos + 1).__getitem__
+            plan.cells += [CellLayout(jpos, base + r, take(one),
+                                      *(list(map(take, xs)) for xs in rest))
+                           for r, (one, *rest) in enumerate(deal)]
+        block(*spare, jpos + 1)
 
     # each joint's cells are visited in index order
     unvisited = [iter(range(jpos * per_joint, (jpos + 1) * per_joint))
@@ -400,16 +397,13 @@ def build_instance(p: CounterexampleParams):
                 "double": p.double_defects}
 
     # --- path: concatenate cells in visit order, then append the rest ----
-    order = [v for f in plan.formations for c in f["cells"]
-             for v in plan.cells[c].path_order()]
+    order = [*chain.from_iterable(plan.cells[c].path_order()
+                                  for f in plan.formations for c in f["cells"])]
 
-    # completion rule: root, joints ascending, remaining ascending; when an
-    # appended edge would duplicate a tree edge, pair the offender with the
-    # next non-adjacent vertex further down the list
-    used = set(order)
-    pool = [v for v in [0] + joints + [u for u in range(1, len(parent))
-                                      if labels[u] is not Role.Joint]
-            if v not in used]
+    # completion rule: every other id ascending (the root, the joints 1..q,
+    # the rest); when an appended edge would duplicate a tree edge, pair
+    # the offender with the next non-adjacent vertex further down the list
+    pool = deque(filterfalse(set(order).__contains__, range(len(parent))))
     appended: list[int] = []
 
     def adj(a, b) -> bool:
@@ -418,23 +412,25 @@ def build_instance(p: CounterexampleParams):
     anchor = order[-1] if order else None
     while pool:
         prev = appended[-1] if appended else anchor
-        pick = next((idx for idx, v in enumerate(pool) if not adj(prev, v)), None)
-        if pick is not None:
-            appended.append(pool.pop(pick))
-            continue
-        # every remaining vertex is a tree neighbour of the last one;
-        # slot the next vertex into an earlier gap instead
-        v = pool.pop(0)
-        # never in front of the root, which must stay the first appended
-        # vertex: it marks where the planned prefix ends
-        for j in range(min(1, len(appended)), len(appended) + 1):
-            left = appended[j - 1] if j > 0 else anchor
-            right = appended[j] if j < len(appended) else None
-            if not adj(left, v) and not adj(v, right):
-                appended.insert(j, v)
+        for pick, v in enumerate(pool):
+            if not adj(prev, v):
+                appended.append(v)
+                del pool[pick]  # O(1) near the front of a deque
                 break
         else:
-            raise InvalidParams("path completion cannot avoid tree edges")
+            # every remaining vertex is a tree neighbour of the last one;
+            # slot the next vertex into an earlier gap instead
+            v = pool.popleft()
+            # never in front of the root, which must stay the first
+            # appended vertex: it marks where the planned prefix ends
+            for j in range(min(1, len(appended)), len(appended) + 1):
+                left = appended[j - 1] if j > 0 else anchor
+                right = appended[j] if j < len(appended) else None
+                if not adj(left, v) and not adj(v, right):
+                    appended.insert(j, v)
+                    break
+            else:
+                raise InvalidParams("path completion cannot avoid tree edges")
     order.extend(appended)
 
     inst = Instance(RootedTree.from_parent(parent, labels), PathGraph.of(order),

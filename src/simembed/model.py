@@ -24,6 +24,7 @@ class Role(Enum):
 
 
 _ROLE_BY_CODE = {r.value: r for r in Role}
+_CODE_BY_ROLE = {r: r.value for r in Role}  # faster than Enum.value
 
 
 class FormatError(ValueError):
@@ -43,8 +44,9 @@ class RootedTree:
 
     def __post_init__(self):
         n, parent = self.n, self.parent
-        roots = [v for v, p in enumerate(parent) if p is None]
-        if roots != [self.root] or n != len(parent):
+        if (n != len(parent) or parent.count(None) != 1
+                or parent.index(None) != self.root):
+            roots = [v for v, p in enumerate(parent) if p is None]
             raise FormatError(f"expected one root and {n} parents, got roots"
                               f" {roots[:3]} and {len(parent)} parents")
         depth = [-1] * n  # -1 unseen, -2 on the chain being walked
@@ -186,7 +188,7 @@ def dump_instance(i: Instance) -> str:
         "-" if p is None else str(p) for p in i.tree.parent))
     lines.append("path " + " ".join(str(v) for v in i.path.order))
     if i.tree.labels:
-        lines.append("roles " + "".join(r.value for r in i.tree.labels))
+        lines.append("roles " + "".join(map(_CODE_BY_ROLE.__getitem__, i.tree.labels)))
     return "\n".join(lines) + "\n"
 
 
@@ -208,7 +210,7 @@ def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
         elif tag == "roles":
             codes = rest.replace(" ", "")
             try:
-                labels = [_ROLE_BY_CODE[c] for c in codes]
+                labels = list(map(_ROLE_BY_CODE.__getitem__, codes))
             except KeyError as e:
                 raise FormatError(f"unknown role code {e.args[0]!r}") from None
         else:

@@ -207,13 +207,13 @@ def _blocked(q, p, ends, segs) -> bool:
     return False
 
 
-def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
+def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchResult:
     """Forward-checking backtracking over vertex-to-candidate maps: the one
     placement engine of the three searches.
 
     Vertex v takes one of the points cand[v], vertices in the given order;
-    a list may be shared between vertices.  The denominators of all lists
-    are cleared at once (int_coords), and the search runs on integers.
+    a list may be shared between vertices.  The search runs on integers:
+    `icand` if given, else all lists with denominators cleared at once.
     Edges of one graph may not meet other than at a shared endpoint;
     edges of different graphs may cross; no vertex may lie on an edge of
     any graph it is not an endpoint of.  Each unplaced vertex keeps a
@@ -238,10 +238,11 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     """
     n = len(order)
     after = after or {}
-    lists = {id(c): c for c in cand}  # shared lists stay shared
-    flat = iter(int_coords(p for c in lists.values() for p in c))
-    ints = {k: [next(flat) for _ in c] for k, c in lists.items()}
-    icand = [ints[id(c)] for c in cand]
+    if icand is None:
+        lists = {id(c): c for c in cand}  # shared lists stay shared
+        flat = iter(int_coords(p for c in lists.values() for p in c))
+        ints = {k: [next(flat) for _ in c] for k, c in lists.items()}
+        icand = [ints[id(c)] for c in cand]
     syms = _square_symmetries(icand)
     meta = {"square_symmetries": len(syms), "sibling_cuts": len(after)}
     nbrs = [[[] for _ in range(n)] for _ in graphs]
@@ -353,12 +354,12 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
         raise PlanarityError("invalid instance: " + "; ".join(rep.violations))
     n = i.tree.n
     # de-duplicated and sorted on integer coordinates: one positive scale
-    # keeps the lexicographic order
+    # keeps the lexicographic order, and _place searches on these
     pts = list(candidate_points)
     by_int = dict(zip(int_coords(pts), pts))
-    pts = [by_int[k] for k in sorted(by_int)]
-    if len(pts) < n:
+    ints = sorted(by_int)
+    if len(ints) < n:
         return SearchResult(SearchStatus.ProvedNone)
-    return _place(i.tree.preorder(), [pts] * n,
+    return _place(i.tree.preorder(), [[by_int[k] for k in ints]] * n,
                   [i.tree.edges(), i.path.edges()], budget,
-                  SearchStatus.ProvedNone)
+                  SearchStatus.ProvedNone, icand=[ints] * n)
