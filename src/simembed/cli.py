@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .analyzer import (
     classify_connections,
@@ -69,30 +70,23 @@ def render_svg(i, d) -> str:
     x0, y1 = min(xs) - pad, max(ys) + pad
     w = max(xs) - min(xs) + 2 * pad
     h = max(ys) - min(ys) + 2 * pad
-
-    def at(p: Point):
-        # flip the y axis: SVG grows downward
-        return _fmt(p.x - x0), _fmt(y1 - p.y)
-
+    # each vertex formatted once, the y axis flipped: SVG grows downward
+    at = [(_fmt(p.x - x0), _fmt(y1 - p.y)) for p in pts]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        # tree edges grey, beneath the black path edges
-        '<g stroke="#9e9e9e" stroke-width="2.5" stroke-linecap="round">',
     ]
-    for u, v in i.tree.edges():
-        (xa, ya), (xb, yb) = at(d.point(u)), at(d.point(v))
-        out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
-    out.append('</g>')
-    out.append('<g stroke="#000000" stroke-width="1.2" stroke-linecap="round">')
-    for u, v in i.path.edges():
-        (xa, ya), (xb, yb) = at(d.point(u)), at(d.point(v))
-        out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
-    out.append('</g>')
+    # tree edges grey, beneath the black path edges
+    for stroke, edges in (('"#9e9e9e" stroke-width="2.5"', i.tree.edges()),
+                          ('"#000000" stroke-width="1.2"', i.path.edges())):
+        out.append(f'<g stroke={stroke} stroke-linecap="round">')
+        for u, v in edges:
+            (xa, ya), (xb, yb) = at[u], at[v]
+            out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}"/>')
+        out.append('</g>')
     out.append('<g fill="#1a1a1a">')
-    for v in range(i.tree.n):
-        cx, cy = at(d.point(v))
+    for cx, cy in at:
         out.append(f'<circle cx="{cx}" cy="{cy}" r="2.0"/>')
     out.append('</g>')
     out.append('</svg>')
@@ -106,16 +100,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _emit(args, record: dict, text: str) -> None:
-    if args.format == "records":
-        print(json.dumps(record, separators=(",", ":"), sort_keys=True))
-    else:
-        print(text)
+    print(json.dumps(record, separators=(",", ":"), sort_keys=True)
+          if args.format == "records" else text)
 
 
 def _answer(args, res: SearchResult) -> int:
@@ -166,21 +162,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_params(args) -> int:
-    header = f"{'x':>12} {'r':>14} {'y':>24} {'degenerate':>10}"
-    rows = []
-    for x in args.x_values:
-        pp = compute_paper_parameters(x)
-        rec = {"x": pp.x, "r": pp.r, "y": pp.y, "s": pp.s, "l": pp.l,
-               "t": pp.t, "degenerate": pp.degenerate}
-        if args.format == "records":
-            print(json.dumps(rec, separators=(",", ":"), sort_keys=True))
-        else:
-            rows.append(f"{pp.x:>12} {pp.r:>14} {pp.y:>24} "
-                        f"{'yes' if pp.degenerate else 'no':>10}")
+    pps = [compute_paper_parameters(x) for x in args.x_values]
     if args.format != "records":
-        print(header)
-        for r in rows:
-            print(r)
+        print(f"{'x':>12} {'r':>14} {'y':>24} {'degenerate':>10}")
+    for pp in pps:
+        # the record is every field: x, r, y, s, l, t and degenerate
+        _emit(args, vars(pp), f"{pp.x:>12} {pp.r:>14} {pp.y:>24} "
+              f"{'yes' if pp.degenerate else 'no':>10}")
     return EXIT_CLEAN
 
 
@@ -195,11 +183,7 @@ def cmd_embed_depth2(args) -> int:
               "tree/path pair with no simultaneous straight-line "
               "embedding (see the generate subcommand)", file=sys.stderr)
         return EXIT_VIOLATION
-    text = dump_drawing(d)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, dump_drawing(d))
     return EXIT_CLEAN
 
 
@@ -236,10 +220,7 @@ def cmd_search(args) -> int:
     res = search_embedding(inst, pts, budget=args.budget)
     code = _answer(args, res)
     if res.drawing is not None:
-        if args.out:
-            _write(args.out, dump_drawing(res.drawing))
-        else:
-            sys.stdout.write(dump_drawing(res.drawing))
+        _write(args.out, dump_drawing(res.drawing))
     return code
 
 
@@ -287,31 +268,18 @@ def cmd_analyze(args) -> int:
             for (a, b), kind in sorted(rep.entries.items()):
                 records.append({"kind": "connection", "joint": rep.joint,
                                 "pair": [a, b], "connection": kind.value})
-    if args.format == "records":
-        for rec in records:
-            print(json.dumps(rec, separators=(",", ":"), sort_keys=True))
-    else:
-        counts = {}
-        for rec in records:
-            counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
-        print(f"passages={counts.get('passage', 0)} "
-              f"doors={counts.get('door', 0)} "
-              f"channels={counts.get('channel', 0)} "
-              f"cuts={counts.get('cut', 0)} "
-              f"connections={counts.get('connection', 0)}")
-        for rec in records:
-            print("  " + " ".join(f"{k}={v}" for k, v in sorted(rec.items())))
+    if args.format != "records":
+        counts = Counter(rec["kind"] for rec in records)
+        print(" ".join(f"{kind}s={counts[kind]}" for kind in
+                       ("passage", "door", "channel", "cut", "connection")))
+    for rec in records:
+        _emit(args, rec, "  " + " ".join(f"{k}={v}" for k, v in sorted(rec.items())))
     return EXIT_CLEAN
 
 
 def cmd_render(args) -> int:
     inst = load_instance(_read(args.instance))
-    d = load_drawing(_read(args.drawing))
-    svg = render_svg(inst, d)
-    if args.out:
-        _write(args.out, svg)
-    else:
-        sys.stdout.write(svg)
+    _write(args.out, render_svg(inst, load_drawing(_read(args.drawing))))
     return EXIT_CLEAN
 
 

@@ -128,6 +128,15 @@ def _has(d, *keys) -> bool:
     return isinstance(d, dict) and all(k in d for k in keys)
 
 
+def _once(pairs: list) -> dict:
+    """A JSON object as a dict, each key at most once."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise FormatError(f"repeated key {key!r}")
+    return obj
+
+
 @dataclass
 class SequencePlan:
     params_s: int
@@ -148,10 +157,10 @@ class SequencePlan:
 
     @staticmethod
     def from_json(text: str) -> "SequencePlan":
-        """Parse a .plan; a missing key, a wrong shape or an id out of
-        range is a FormatError."""
+        """Parse a .plan; a missing or repeated key, a wrong shape or an
+        id out of range is a FormatError."""
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_once)
             plan = SequencePlan(raw["s"], [CellLayout(**c) for c in raw["cells"]],
                                 raw["formations"], raw["efs"], raw["sef"])
             ok = (_ids([plan.params_s])

@@ -19,7 +19,8 @@ from math import inf
 from typing import Optional, Sequence
 
 from .geom import Line, Point
-from .model import Drawing, FormatError, RootedTree
+from .model import (Drawing, FormatError, RootedTree, _ints, _parse_tree,
+                    _rationals, _records, _tree_record)
 from .planarity import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -399,9 +400,7 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
 # --- .slt level-tree format -----------------------------------------------
 
 def dump_level_tree(t: LevelTree, rs: Optional[RegionSystem] = None) -> str:
-    lines = [f"slt 1 {t.tree.n} {t.k}"]
-    lines.append("tree " + " ".join(
-        "-" if p is None else str(p) for p in t.tree.parent))
+    lines = [f"slt 1 {t.tree.n} {t.k}", _tree_record(t.tree)]
     lines.append("phi " + " ".join(str(x) for x in t.phi))
     if rs is not None:
         for ln in rs.lines:
@@ -409,35 +408,15 @@ def dump_level_tree(t: LevelTree, rs: Optional[RegionSystem] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line(rest: str) -> Line:
+    return Line(*_rationals("lines", rest, "lines <A> <B> <C>"))
+
+
 def load_level_tree(text: str):
     """Parse an .slt document into (LevelTree, Optional[RegionSystem])."""
-    rows = [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-    if not rows or not rows[0].startswith("slt 1 "):
-        raise FormatError("missing 'slt 1 <n> <k>' header")
-    _, _, n_s, k_s = rows[0].split()
-    n, k = int(n_s), int(k_s)
-    parent = None
-    phi = None
-    region_lines = []
-    for ln in rows[1:]:
-        tag, _, rest = ln.partition(" ")
-        if tag == "tree":
-            parent = [None if tok == "-" else int(tok) for tok in rest.split()]
-        elif tag == "phi":
-            phi = [int(tok) for tok in rest.split()]
-        elif tag == "lines":
-            try:
-                a, b, c = (Fraction(tok) for tok in rest.split())
-            except ZeroDivisionError:
-                raise FormatError(f"zero denominator in {ln!r}") from None
-            region_lines.append(Line(a, b, c))
-        else:
-            raise FormatError(f"unknown record {tag!r}")
-    if parent is None or phi is None:
-        raise FormatError("tree and phi records are required")
-    if len(parent) != n or len(phi) != n:
-        raise FormatError("record length disagrees with header")
+    (_, k), (parent, phi, region_lines) = _records(
+        text, "slt 1 <n> <k>", {"tree": _parse_tree, "phi": _ints, "lines": _line},
+        required=("tree", "phi"), repeated=("lines",))
     lt = LevelTree.of(RootedTree.from_parent(parent), phi)
     if lt.k != k or len(region_lines) not in (0, k):
         raise FormatError("level or lines count disagrees with header")

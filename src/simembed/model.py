@@ -180,46 +180,93 @@ def tree_depth(t: RootedTree) -> int:
     return max(t.depth)
 
 
+# --- the line grammar of .sge, .sgd and .slt -------------------------------
+
+def _rows(text: str, header: str):
+    """Skip blank lines and `#` comments, check that the first row is
+    `header` with an integer in place of each `<field>`, and return those
+    integers and an iterator over the other rows as (tag, rest) pairs,
+    split one row at a time."""
+    rows = (ln for ln in map(str.strip, text.splitlines())
+            if ln and ln[0] != "#")
+    got, want = next(rows, "").split(), header.split()
+    if len(got) != len(want) or got[:2] != want[:2]:
+        raise FormatError(f"missing '{header}' header")
+    return ([int(tok) for tok in got[2:]],
+            ((*ln.split(None, 1), "")[:2] for ln in rows))
+
+
+def _records(text: str, header: str, parsers: dict, required: tuple,
+             repeated=()) -> tuple[list[int], list]:
+    """Read a `_rows` document whose tags are the keys of `parsers`: return
+    the header integers and each tag's parsed value, None if absent (for a
+    tag in `repeated`, the list of its values).  An unknown tag, a second
+    record of a tag not in `repeated`, a missing required tag and a record
+    not in `repeated` whose length is not the header's first integer are
+    FormatErrors."""
+    fields, rows = _rows(text, header)
+    values = {tag: [] for tag in repeated}
+    for tag, rest in rows:
+        if tag not in parsers:
+            raise FormatError(f"unknown record {tag!r}")
+        if tag in repeated:
+            values[tag].append(parsers[tag](rest))
+        elif tag in values:
+            raise FormatError(f"repeated record {tag!r}")
+        else:
+            values[tag] = parsers[tag](rest)
+    if not all(tag in values for tag in required):
+        raise FormatError(" and ".join(required) + " records are required")
+    if any(len(values[tag]) != fields[0] for tag in values if tag not in repeated):
+        raise FormatError("record length disagrees with header")
+    return fields, [values.get(tag) for tag in parsers]
+
+
+def _rationals(tag: str, rest: str, form: str) -> list[Fraction]:
+    """The exact rationals after `tag` in a row of the form `form`."""
+    toks = rest.split()
+    if len(toks) != form.count(" "):
+        raise FormatError(f"expected '{form}', got {tag + ' ' + rest!r}")
+    try:
+        return list(map(Fraction, toks))
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {tag + ' ' + rest!r}") from None
+
+
+def _ints(rest: str) -> list[int]:
+    return [int(tok) for tok in rest.split()]
+
+
+def _parse_tree(rest: str) -> list[Optional[VertexId]]:
+    """The parent list of a `tree` record, `-` marking the root."""
+    return [None if tok == "-" else int(tok) for tok in rest.split()]
+
+
+def _tree_record(t: RootedTree) -> str:
+    return "tree " + " ".join("-" if p is None else str(p) for p in t.parent)
+
+
 # --- .sge instance format -------------------------------------------------
 
 def dump_instance(i: Instance) -> str:
-    lines = [f"sge 1 {i.tree.n}"]
-    lines.append("tree " + " ".join(
-        "-" if p is None else str(p) for p in i.tree.parent))
+    lines = [f"sge 1 {i.tree.n}", _tree_record(i.tree)]
     lines.append("path " + " ".join(str(v) for v in i.path.order))
     if i.tree.labels:
         lines.append("roles " + "".join(map(_CODE_BY_ROLE.__getitem__, i.tree.labels)))
     return "\n".join(lines) + "\n"
 
 
+def _roles(rest: str) -> list[Role]:
+    try:
+        return list(map(_ROLE_BY_CODE.__getitem__, rest.replace(" ", "")))
+    except KeyError as e:
+        raise FormatError(f"unknown role code {e.args[0]!r}") from None
+
+
 def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("sge 1 "):
-        raise FormatError("missing 'sge 1 <n>' header")
-    n = int(lines[0].split()[2])
-    parent = None
-    order = None
-    labels = None
-    for ln in lines[1:]:
-        tag, _, rest = ln.partition(" ")
-        if tag == "tree":
-            parent = [None if tok == "-" else int(tok) for tok in rest.split()]
-        elif tag == "path":
-            order = [int(tok) for tok in rest.split()]
-        elif tag == "roles":
-            codes = rest.replace(" ", "")
-            try:
-                labels = list(map(_ROLE_BY_CODE.__getitem__, codes))
-            except KeyError as e:
-                raise FormatError(f"unknown role code {e.args[0]!r}") from None
-        else:
-            raise FormatError(f"unknown record {tag!r}")
-    if parent is None or order is None:
-        raise FormatError("tree and path records are required")
-    if len(parent) != n or len(order) != n or (labels is not None
-                                               and len(labels) != n):
-        raise FormatError("record length disagrees with header")
+    (n,), (parent, order, labels) = _records(
+        text, "sge 1 <n>", {"tree": _parse_tree, "path": _ints, "roles": _roles},
+        required=("tree", "path"))
     if set(order) != set(range(n)):
         raise FormatError("path record must list each vertex 0..n-1 once")
     tree = RootedTree.from_parent(parent, labels)
@@ -229,27 +276,20 @@ def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
 # --- .sgd drawing format --------------------------------------------------
 
 def dump_drawing(d: Drawing) -> str:
-    lines = [f"sgd 1 {len(d.pos)}"]
-    for v in sorted(d.pos):
-        p = d.pos[v]
-        lines.append(f"{v} {p.x.numerator}/{p.x.denominator}"
-                     f" {p.y.numerator}/{p.y.denominator}")
+    lines = [f"sgd 1 {len(d.pos)}"] + [
+        f"{v} {p.x.numerator}/{p.x.denominator} {p.y.numerator}/{p.y.denominator}"
+        for v, p in sorted(d.pos.items())]
     return "\n".join(lines) + "\n"
 
 
 def load_drawing(text: str) -> Drawing:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("sgd 1 "):
-        raise FormatError("missing 'sgd 1 <n>' header")
-    n = int(lines[0].split()[2])
+    (n,), rows = _rows(text, "sgd 1 <n>")
     pos = {}
-    for ln in lines[1:]:
-        vid, xs, ys = ln.split()
-        try:
-            pos[int(vid)] = Point(Fraction(xs), Fraction(ys))
-        except ZeroDivisionError:
-            raise FormatError(f"zero denominator in {ln!r}") from None
+    for vid, rest in rows:
+        v = int(vid)  # as an integer, so that 1 and 01 name one vertex
+        if v in pos:
+            raise FormatError(f"repeated record for vertex {v}")
+        pos[v] = Point(*_rationals(vid, rest, "<id> <x> <y>"))
     if len(pos) != n:
         raise FormatError("vertex count disagrees with header")
     return Drawing(pos)

@@ -86,7 +86,7 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
     O((V + E) log V) orientation tests, and a plane drawing gets the empty
     report at once.  Only a drawing with a violation pays for the report:
     every edge pair whose closed x-intervals overlap, and every vertex
-    against every edge.
+    against every edge whose closed x-interval holds it.
     """
     for u, v in edges:
         if u not in d.pos or v not in d.pos:
@@ -103,12 +103,18 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
     if len(points) == len(vs) and _plane([(min(s), max(s)) for s in segs], points):
         return rep
     spans = [(min(a[0], b[0]), max(a[0], b[0])) for a, b in segs]
-    # sweep over x: only pairs whose closed x-intervals overlap can meet
-    hits = []
-    active: list[int] = []
-    for i in sorted(range(len(edges)), key=spans.__getitem__):
-        lo = spans[i][0]
-        active = [j for j in active if spans[j][1] >= lo]
+    # sweep over x: only edges whose closed x-intervals overlap can meet,
+    # and only an edge whose x-interval holds a vertex's x can carry it;
+    # at one x, edges enter (kind 0) before vertices are tested (kind 1)
+    events = sorted([(lo, 0, i) for i, (lo, _) in enumerate(spans)]
+                    + [(ic[v][0], 1, r) for r, v in enumerate(vs)])
+    hits, on, active = [], [], []
+    for x, kind, i in events:
+        active = [j for j in active if spans[j][1] >= x]
+        if kind:
+            on += [(i, j) for j in active if vs[i] not in edges[j]
+                   and int_on_segment(ic[vs[i]], *segs[j])]
+            continue
         for j in active:
             e, f = min(i, j), max(i, j)
             rel = int_relation(*segs[e], *segs[f])
@@ -116,10 +122,7 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
                 hits.append((e, f, rel))
         active.append(i)
     rep.crossings = [(edges[e], edges[f], rel) for e, f, rel in sorted(hits)]
-    for v in vs:
-        for e, (a, b) in zip(edges, segs):
-            if v not in e and int_on_segment(ic[v], a, b):
-                rep.vertex_on_edge.append((v, e))
+    rep.vertex_on_edge = [(vs[r], edges[j]) for r, j in sorted(on)]
     return rep
 
 

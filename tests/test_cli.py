@@ -51,6 +51,17 @@ def depth2_instance():
     return Instance(t, PathGraph.of([3, 1, 4, 0, 5, 2, 6]))
 
 
+def as_files(inst, d, plan):
+    return {"sge": dump_instance(inst), "sgd": dump_drawing(d),
+            "plan": plan.to_json()}
+
+
+WITNESS_FILES = as_files(*passage_witness())  # the passage witness
+# a star on 0..2 drawn without a crossing
+CLEAN_SGE = "sge 1 3\ntree - 0 0\npath 1 0 2\n"
+CLEAN_SGD = "sgd 1 3\n0 0 0\n1 1 0\n2 0 1\n"
+
+
 def write_instance(tmp_path, inst, name="a.sge"):
     p = tmp_path / name
     p.write_text(dump_instance(inst))
@@ -483,6 +494,34 @@ class TestUsageErrors:
             paths.append(str(tmp_path / f"w.{k}"))
             (tmp_path / f"w.{k}").write_text(files[k])
         assert main(["analyze", *paths]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv, files", [
+        (["check", "{sge}", "{sgd}"],
+         {"sge": CLEAN_SGE + "tree - 0 0\n", "sgd": CLEAN_SGD}),
+        (["check", "{sge}", "{sgd}"],
+         {"sge": CLEAN_SGE + "path 1 0 2\n", "sgd": CLEAN_SGD}),
+        (["check", "{sge}", "{sgd}"],
+         {"sge": CLEAN_SGE + "roles ROO\nroles ROO\n", "sgd": CLEAN_SGD}),
+        (["check", "{sge}", "{sgd}"],
+         {"sge": CLEAN_SGE, "sgd": "sgd 1 3\n0 0 0\n1 1 0\n1 2 0\n2 0 1\n"}),
+        (["level-search", "{slt}"],
+         {"slt": "slt 1 2 2\ntree - 0\nphi 1 2\nphi 1 2\n"}),
+        (["check", "{sge}", "{sgd}"],
+         {"sge": CLEAN_SGE.replace("sge 1 3", "sge 1 3 3"), "sgd": CLEAN_SGD}),
+        (["analyze", "{sge}", "{plan}", "{sgd}"],
+         dict(WITNESS_FILES, plan=WITNESS_FILES["plan"].replace(
+             '{"s":', '{"s":2,"s":', 1))),
+    ], ids=["sge-tree", "sge-path", "sge-roles", "sgd-vertex", "slt-phi",
+            "sge-header-field", "plan-s-key"])
+    def test_repeated_record(self, tmp_path, capsys, argv, files):
+        # each document is valid but for one repeated record, key or
+        # header field
+        paths = {}
+        for k, doc in files.items():
+            paths[k] = str(tmp_path / f"doc.{k}")
+            Path(paths[k]).write_text(doc)
+        assert main([a.format(**paths) for a in argv]) == 2
         self.assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("cmd, flag, value", [

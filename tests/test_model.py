@@ -221,3 +221,15 @@ class TestSerialization:
             load_instance("nope\n")
         with pytest.raises(FormatError):
             load_drawing("nope\n")
+
+    def test_drawing_ids_compare_as_integers(self):
+        # 1 and 01 name one vertex, so the header's 3 vertices are 0, 1, 2
+        # with vertex 1 given twice
+        with pytest.raises(FormatError, match="repeated"):
+            load_drawing("sgd 1 3\n0 0 0\n1 1 0\n01 2 0\n2 0 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "sgd 1 2\n0 0 0\n1 1\n", "sgd 1 2\n0 0 0\n1 1 0 0\n"])
+    def test_drawing_row_is_id_x_y(self, text):
+        with pytest.raises(FormatError, match="<id> <x> <y>"):
+            load_drawing(text)
