@@ -295,17 +295,15 @@ class Channel:
 
 
 def _root_leaf_paths(i: Instance, joint: int) -> list[tuple]:
-    paths = []
-
-    def walk(v, acc):
-        ch = i.tree.children(v)
-        if not ch:
-            paths.append((i.tree.root, joint) + tuple(acc))
-            return
-        for c in ch:
-            walk(c, acc + [c])
-
-    walk(joint, [])
+    """The paths from the root through joint to each leaf below it."""
+    paths, stack = [], [(i.tree.root, joint)]
+    while stack:
+        path = stack.pop()
+        kids = i.tree.children(path[-1])
+        if kids:
+            stack.extend(path + (c,) for c in kids)
+        else:
+            paths.append(path)
     return sorted(paths)
 
 

@@ -46,7 +46,7 @@ from .model import (
     tree_depth,
 )
 from .planarity import (DEFAULT_BUDGET, SearchResult, check_simultaneous,
-                        search_embedding)
+                        check_vertex_set, search_embedding)
 from .geom import Point
 
 EXIT_CLEAN = 0
@@ -63,7 +63,8 @@ def _fmt(x) -> str:
 
 
 def render_svg(i, d) -> str:
-    pts = [d.point(v) for v in range(i.tree.n)]
+    check_vertex_set(i, d)
+    pts = [d.pos[v] for v in range(i.tree.n)]
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
     pad = 10
@@ -241,6 +242,7 @@ def cmd_analyze(args) -> int:
     inst = load_instance(_read(args.instance))
     plan = SequencePlan.from_json(_read(args.plan))
     d = load_drawing(_read(args.drawing))
+    check_vertex_set(inst, d)
     records = []
     passages = detect_passages(inst, d, plan)
     for p in passages:
@@ -370,11 +372,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:
-        # the tree walks recurse once per level, vertex or depth
-        print("error: input nests too deeply for the recursive tree walks",
-              file=sys.stderr)
         return EXIT_USAGE
 
 

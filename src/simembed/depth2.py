@@ -151,14 +151,21 @@ class SuiteReport:
         return not self.failures
 
 
-def _partitions(n, largest=None):
-    if n == 0:
-        yield ()
-        return
-    largest = largest or n
-    for head in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - head, head):
-            yield (head,) + rest
+def _partitions(n):
+    """The partitions of n, parts non-increasing, in reverse lexicographic
+    order: each next one lowers the last part above 1 by one and refills
+    the parts after it greedily with parts no larger."""
+    part = [n] * (n > 0)
+    while True:
+        yield tuple(part)
+        rest = 1  # what the refill must sum to: the unit and the trailing ones
+        while part and part[-1] == 1:
+            rest += part.pop()
+        if not part:
+            return
+        head = part.pop() - 1
+        q, r = divmod(rest, head)
+        part += [head] * (q + 1) + [r] * (r > 0)
 
 
 def depth2_trees(n: int):

@@ -23,7 +23,6 @@ from .model import (Drawing, FormatError, RootedTree, _ints, _parse_tree,
                     _rationals, _records, _tree_record)
 from .planarity import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     CrossingReport,
     SearchResult,
     _place,
@@ -72,20 +71,25 @@ class LevelStatus(Enum):
 
 # --- leveled shapes -------------------------------------------------------
 
-def _subtree_shape(t: RootedTree, phi, v) -> tuple:
-    """Canonical form of v's leveled subtree (Aho, Hopcroft and Ullman,
-    1974): equal shapes are exactly the interchangeable subtrees."""
-    kids = sorted(_subtree_shape(t, phi, c) for c in t.children(v))
-    return (phi[v], tuple(kids))
+def _shape_ids(t: RootedTree, phi, ids: dict) -> list[int]:
+    """Each vertex's leveled subtree as a small integer, equal exactly for
+    interchangeable subtrees: one post-order pass interns (phi[v], sorted
+    child ids) in `ids` (Aho, Hopcroft and Ullman, 1974)."""
+    out = [0] * t.n
+    for v in reversed(t.preorder()):  # children before parents
+        key = (phi[v], tuple(sorted([out[c] for c in t._kids[v]])))
+        out[v] = ids.setdefault(key, len(ids))
+    return out
 
 
 def _sibling_cut(t: LevelTree) -> dict[int, int]:
     """Interchangeable sibling subtrees (same parent, same leveled shape)
     take increasing candidate indices: each maps to the sibling before it."""
+    shape = _shape_ids(t.tree, t.phi, {})
     groups: dict[tuple, list[int]] = {}
     for v, p in enumerate(t.tree.parent):
         if p is not None:
-            groups.setdefault((p, _subtree_shape(t.tree, t.phi, v)), []).append(v)
+            groups.setdefault((p, shape[v]), []).append(v)
     return {b: a for g in groups.values() for a, b in zip(g, g[1:])}
 
 
@@ -126,10 +130,13 @@ def _ordering_oracle(t: LevelTree, budget: int):
     """Return (per-level orderings admitting no inversion or None, nodes);
     nodes > budget means the budget ran out.
 
-    Levels fill top down, each left to right.  Appending v makes no
-    inversion exactly when v's leftmost neighbour above is not left of
-    the rightmost neighbour above of a vertex already on its level (equal
-    positions are one shared neighbour): one test against a frontier `hi`."""
+    Levels fill top down, each left to right, one slot at a time: a loop
+    over a stack of open slots, each with a cursor over its level's
+    vertices in id order; each unplaced vertex it meets is one node.
+    Appending v makes no inversion exactly when v's leftmost neighbour
+    above is not left of the rightmost neighbour above of a vertex already
+    on its level (equal positions are one shared neighbour): one test
+    against a frontier `hi`."""
     levels, up, leaf = _subdivide(t)
     # interchangeable leaves: the sibling cut restricted to leaves (same
     # parent and level, so isomorphic dummy chains on the same levels: one
@@ -140,50 +147,39 @@ def _ordering_oracle(t: LevelTree, budget: int):
     def tag(v):
         return leaf.get(v, v)
 
-    nodes = 0
-
-    def rec(i, pos):
-        if i == len(levels):
-            return pos
-        members = levels[i]
-        span = {}  # v -> positions of its leftmost and rightmost neighbour above
-        for v in members:
-            ps = [pos[u] for u in up[v]]
-            span[v] = (min(ps, default=inf), max(ps, default=-1))
-
-        def place(chosen, remaining, hi):
-            nonlocal nodes
-            if not remaining:
-                p2 = dict(pos)
-                for idx, v in enumerate(chosen):
-                    p2[v] = idx
-                return rec(i + 1, p2)
-            chosen_tags = {tag(w) for w in chosen}
-            for v in sorted(remaining):
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded
-                first = sym_later.get(tag(v))
-                if first is not None and first not in chosen_tags:
-                    continue  # equivalent leaf chain must come first
-                lo, top = span[v]
-                if lo < hi:
-                    continue
-                chosen.append(v)
-                remaining.remove(v)
-                r = place(chosen, remaining, max(hi, top))
-                remaining.add(v)
-                chosen.pop()
-                if r is not None:
-                    return r
-            return None
-
-        return place([], set(members), -1)
-
-    try:
-        return rec(0, {}), nodes
-    except BudgetExceeded:
-        return None, nodes
+    slots = [(lv, k) for lv, members in enumerate(levels) for k in range(len(members))]
+    pos = {}  # v -> its index on its level, in the order the slots filled
+    span = {}  # v -> positions of its leftmost and rightmost neighbour above
+    stack, nodes = [], 0  # per open slot: cursor, frontier, its level's tags
+    while len(pos) < len(slots):
+        lv, k = slots[len(pos)]
+        if len(stack) == len(pos):  # the slot opens: v just filled the one before
+            if k == 0:  # a level starts: its spans follow the levels above
+                for w in levels[lv]:
+                    ps = [pos[u] for u in up[w]]
+                    span[w] = (min(ps, default=inf), max(ps, default=-1))
+            stack.append((iter(levels[lv]), max(hi, span[v][1]) if k else -1,
+                          tags | {tag(v)} if k else set()))
+        cursor, hi, tags = stack[-1]
+        for v in cursor:
+            if v in pos:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            first = sym_later.get(tag(v))
+            if first is not None and first not in tags:
+                continue  # equivalent leaf chain must come first
+            if span[v][0] >= hi:
+                break
+        else:  # the slot has tried every vertex: back to the slot before
+            stack.pop()
+            if not stack:
+                return None, nodes
+            pos.popitem()  # the last placed vertex, the one in that slot
+            continue
+        pos[v] = k
+    return pos, nodes
 
 
 # --- geometric searches ---------------------------------------------------
@@ -251,7 +247,7 @@ def lemma1_tree():
 
     Scans every valid surjective 4-leveling, one per class under level
     reversal and the gadget's automorphisms: a class is keyed by the
-    lesser leveled shape of phi and of phi reversed, and represented by
+    lesser root shape id of phi and of phi reversed, and represented by
     its least member, the first in product order.  Keeps the
     representatives the ordering oracle certifies nonplanar (a continuum
     certificate).  Classes whose certification outgrows CLASS_BUDGET are
@@ -260,12 +256,12 @@ def lemma1_tree():
     tree = RootedTree.from_parent(list(_GADGET_PARENT))
     edges = tree.edges()
     hi = LEVELS + 1
-    reps: dict[tuple, tuple] = {}
+    ids, reps = {}, {}  # one interning for the scan, so root ids compare
     for phi in product(range(1, hi), repeat=tree.n):
         if len(set(phi)) != LEVELS or any(phi[u] == phi[v] for u, v in edges):
             continue
-        key = min(_subtree_shape(tree, phi, tree.root),
-                  _subtree_shape(tree, [hi - x for x in phi], tree.root))
+        key = min(_shape_ids(tree, phi, ids)[tree.root],
+                  _shape_ids(tree, [hi - x for x in phi], ids)[tree.root])
         reps.setdefault(key, phi)
 
     certified = []

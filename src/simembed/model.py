@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -222,11 +223,16 @@ def _records(text: str, header: str, parsers: dict, required: tuple,
     return fields, [values.get(tag) for tag in parsers]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rationals(tag: str, rest: str, form: str) -> list[Fraction]:
-    """The exact rationals after `tag` in a row of the form `form`."""
+    """The exact rationals after `tag` in a row of the form `form`, each
+    written -?digits(/digits)?, as the dump functions write them."""
     toks = rest.split()
-    if len(toks) != form.count(" "):
-        raise FormatError(f"expected '{form}', got {tag + ' ' + rest!r}")
+    if len(toks) != form.count(" ") or not all(map(_RATIONAL.fullmatch, toks)):
+        raise FormatError(f"expected '{form}' with each number -?digits(/digits)?,"
+                          f" got {tag + ' ' + rest!r}")
     try:
         return list(map(Fraction, toks))
     except ZeroDivisionError:

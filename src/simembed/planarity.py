@@ -131,14 +131,19 @@ def check_simultaneous(i: Instance, d: Drawing):
     rep = validate_instance(i)
     if not rep.valid:
         raise PlanarityError("invalid instance: " + "; ".join(rep.violations))
+    check_vertex_set(i, d)
+    return (check_drawing(i.tree.edges(), d),
+            check_drawing(i.path.edges(), d))
+
+
+def check_vertex_set(i: Instance, d: Drawing) -> None:
+    """Raise unless d draws exactly the vertices 0..n-1 of i."""
     drawn, vertices = set(d.pos), set(range(i.tree.n))
     if vertices - drawn:
         raise UndrawnVertex(f"vertices not drawn: {sorted(vertices - drawn)}")
     if drawn - vertices:
         raise PlanarityError(f"drawing names vertices outside 0..{i.tree.n - 1}:"
                              f" {sorted(drawn - vertices)}")
-    return (check_drawing(i.tree.edges(), d),
-            check_drawing(i.path.edges(), d))
 
 
 class SearchStatus(Enum):
@@ -156,10 +161,6 @@ class SearchResult:
     nodes: int = 0
     note: str = ""
     metadata: dict = field(default_factory=dict)
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 # the 7 non-identity symmetries of a square about its centre, each as the
@@ -305,35 +306,29 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
             fixed[g].pop()
         pos[v] = None
 
-    def rec(k):
-        nonlocal nodes
-        if k == n:
-            return True
+    # depth-first over k = len(steps), order[:k] placed: rest[k] holds the
+    # indices order[k] has still to try, and steps[k] undoes its placement
+    status, rest, steps = type(none), [], []
+    while len(steps) < n:
+        k = len(steps)
         v = order[k]
-        d = dom[v]
-        if v in after:
-            d &= -2 << idx[after[v]]
-        while d:
-            i = (d & -d).bit_length() - 1
-            d &= d - 1
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            step = prune(v, icand[v][i])
-            if step is None:
-                continue
-            idx[v] = i
-            if rec(k + 1):
-                return True
-            undo(v, *step)
-        return False
-
-    status = type(none)
-    try:
-        if not rec(0):
-            return SearchResult(none, None, nodes, metadata=meta)
-    except BudgetExceeded:
-        return SearchResult(status.BudgetExceeded, None, budget, metadata=meta)
+        if len(rest) == k:  # order[k] comes up: the cut of `after` applies
+            rest.append(dom[v] & (-2 << idx[after[v]]) if v in after else dom[v])
+        d = rest[k]
+        if not d:  # order[k] has tried everything: back to order[k - 1]
+            if not k:
+                return SearchResult(none, None, nodes, metadata=meta)
+            rest.pop()
+            undo(order[k - 1], *steps.pop())
+            continue
+        i = (d & -d).bit_length() - 1
+        rest[k] = d & (d - 1)
+        nodes += 1
+        if nodes > budget:
+            return SearchResult(status.BudgetExceeded, None, budget, metadata=meta)
+        idx[v] = i
+        if (step := prune(v, icand[v][i])) is not None:
+            steps.append(step)
     d = Drawing({v: cand[v][idx[v]] for v in range(n)})
     assert all(check_drawing(es, d).planar for es in graphs)
     return SearchResult(status.Found, d, nodes, metadata=meta)

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from simembed.geom import Point
 from simembed.leveltree import (
     LevelTree,
     RegionSystem,
+    check_level_drawing,
     dump_level_tree,
     load_level_tree,
+    search_level_planar,
 )
 from simembed.model import (
     Drawing,
@@ -465,6 +468,42 @@ class TestUsageErrors:
         assert main(["check", str(sge), str(sgd)]) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("coord", ["1e200000", "0.5", "+1", "1/-2"])
+    def test_coordinate_outside_the_grammar(self, tmp_path, capsys, coord):
+        # Fraction would read each of these; 1e200000 is a 200,001-digit
+        # integer that makes check run for many seconds
+        sge = tmp_path / "a.sge"
+        sge.write_text(CLEAN_SGE)
+        sgd = tmp_path / "d.sgd"
+        sgd.write_text(f"sgd 1 3\n0 0 0\n1 1 0\n2 {coord} 1\n")
+        start = time.perf_counter()
+        assert main(["check", str(sge), str(sgd)]) == 2
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["check", "render", "analyze"])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_drawing_vertex_set_differs(self, tmp_path, capsys, command, change):
+        # a drawing of the passage witness with a vertex n added, or with
+        # vertex 0 left out: every command that reads both refuses it
+        inst, d, plan = passage_witness()
+        n = inst.tree.n
+        pos = dict(d.pos)
+        if change == "extra":
+            pos[n] = Point(10 ** 6, 10 ** 6 + 1)
+        else:
+            del pos[0]
+        files = as_files(inst, Drawing(pos), plan)
+        paths = {}
+        for k, text in files.items():
+            paths[k] = str(tmp_path / f"w.{k}")
+            Path(paths[k]).write_text(text)
+        argv = {"check": ["check", paths["sge"], paths["sgd"]],
+                "render": ["render", paths["sge"], paths["sgd"]],
+                "analyze": ["analyze", paths["sge"], paths["plan"], paths["sgd"]]}
+        assert main(argv[command]) == 2
+        self.assert_one_error_line(capsys)
+
     def test_lines_count_differs_from_levels(self, tmp_path, capsys):
         # two levels but one region line: region 2 would have no line
         slt = tmp_path / "r.slt"
@@ -658,14 +697,17 @@ class TestSearchStats:
 
 
 class TestDeepInput:
-    def test_deep_path_is_a_usage_error(self, tmp_path, capsys):
-        # a 3,000-level path outgrows the recursive tree walks
+    def test_deep_path_is_found(self, tmp_path, capsys):
+        # a 3,000-level path: every tree walk is a loop, so no depth cap
         n = 3000
         slt = tmp_path / "deep.slt"
         slt.write_text(f"slt 1 {n} {n}\n"
                        "tree - " + " ".join(map(str, range(n - 1))) + "\n"
                        "phi " + " ".join(map(str, range(1, n + 1))) + "\n")
-        assert main(["level-search", str(slt), "--grid", str(n)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        for method in ("auto", "combinatorial"):
+            argv = ["level-search", str(slt), "--grid", str(n), "--method", method]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith("Found")
+        lt, _ = load_level_tree(slt.read_text())
+        res = search_level_planar(lt, n)
+        assert check_level_drawing(lt, res.drawing).planar

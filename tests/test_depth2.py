@@ -4,6 +4,7 @@ import pytest
 
 from simembed.depth2 import (
     DepthExceeded,
+    _partitions,
     depth2_trees,
     embed_depth2,
     enumerate_depth2_suite,
@@ -105,6 +106,17 @@ class TestTreeEnumeration:
         # rooted depth-<=2 trees up to isomorphism = partitions of n-1
         assert len(list(depth2_trees(5))) == 5
         assert len(list(depth2_trees(7))) == 11
+
+    def test_partitions_in_reverse_lexicographic_order(self):
+        def reference(n, largest):
+            if n == 0:
+                yield ()
+            for head in range(min(n, largest), 0, -1):
+                for rest in reference(n - head, head):
+                    yield (head,) + rest
+
+        for n in range(16):
+            assert list(_partitions(n)) == list(reference(n, n))
 
     def test_all_depth_at_most_two(self):
         for t in depth2_trees(6):

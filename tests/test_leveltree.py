@@ -11,6 +11,7 @@ from simembed.leveltree import (
     LevelTree,
     RegionStatus,
     RegionSystem,
+    _shape_ids,
     check_level_drawing,
     lemma1_tree,
     region_candidates,
@@ -138,6 +139,37 @@ def _oracle_corpus():
         if all(phi[u] != phi[v] for u, v in t.edges()):
             cases.append(LevelTree.of(t, phi))
     return cases
+
+
+def _subtree_shape(t: RootedTree, phi, v) -> tuple:
+    """Reference: v's leveled subtree as nested tuples, children sorted."""
+    return (phi[v], tuple(sorted(_subtree_shape(t, phi, c) for c in t.children(v))))
+
+
+def _random_leveled_trees(count: int, seed: int):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 12)
+        t = RootedTree.from_parent([None] + [rng.randrange(v) for v in range(1, n)])
+        k = rng.randint(2, 5)
+        phi = [rng.randint(1, k) for _ in range(n)]
+        if all(phi[u] != phi[v] for u, v in t.edges()):
+            cases.append(LevelTree.of(t, phi))
+    return cases
+
+
+class TestShapeIds:
+    def test_equal_ids_exactly_for_equal_shapes(self):
+        # one `ids` across every vertex of every leveling: equal reference
+        # shapes get one id, and distinct shapes distinct ids
+        ids, id_of = {}, {}
+        for lt in _oracle_corpus() + _random_leveled_trees(500, 16):
+            got = _shape_ids(lt.tree, lt.phi, ids)
+            for v in range(lt.tree.n):
+                ref = _subtree_shape(lt.tree, lt.phi, v)
+                assert id_of.setdefault(ref, got[v]) == got[v]
+        assert len(set(id_of.values())) == len(id_of) == len(ids)
 
 
 class TestOracleExploration:
