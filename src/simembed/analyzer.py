@@ -269,11 +269,6 @@ def classify_index_pairs(first: tuple, second: tuple) -> PassageRelation:
     return PassageRelation.Interconnected
 
 
-def classify_passage_pair(p1: Passage, p2: Passage) -> PassageRelation:
-    return classify_index_pairs((p1.joint, p1.sep_joint),
-                                (p2.joint, p2.sep_joint))
-
-
 # --- channels -------------------------------------------------------------
 
 @dataclass(frozen=True)

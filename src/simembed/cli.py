@@ -127,15 +127,18 @@ def _answer(args, res: SearchResult) -> int:
 
 # --- subcommands ----------------------------------------------------------
 
+# desk scale: small replication counts instead of the full-size constants,
+# so the instance fits in memory and in a .sge file
+_DESK_REPS = dict(formation_reps=2, formation_outer=1, sef_tuple=2,
+                  sef_efs=2, sef_reps=4)
+
+
 def cmd_generate(args) -> int:
-    kw = {}
+    # the repetition flags given; symbolic mode keeps the paper constants
+    # for the rest, desk mode its own
+    kw = {k: getattr(args, k) for k in _DESK_REPS if getattr(args, k) is not None}
     if args.mode == "desk":
-        # desk scale: small replication counts instead of the full-size
-        # constants, so the instance fits in memory and in a .sge file
-        kw = dict(formation_reps=args.formation_reps,
-                  formation_outer=args.formation_outer,
-                  sef_tuple=args.sef_tuple, sef_efs=args.sef_efs,
-                  sef_reps=args.sef_reps)
+        kw = {**_DESK_REPS, **kw}
     p = CounterexampleParams(s=args.s, x=args.x, y=args.y,
                              double_defects=args.double_defects,
                              cap=args.cap, **kw)
@@ -306,11 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--y", type=int, required=True)
     g.add_argument("--mode", choices=("desk", "symbolic"), default="desk")
     g.add_argument("--double-defects", action="store_true")
-    g.add_argument("--formation-reps", type=int, default=2)
-    g.add_argument("--formation-outer", type=int, default=1)
-    g.add_argument("--sef-tuple", type=int, default=2)
-    g.add_argument("--sef-efs", type=int, default=2)
-    g.add_argument("--sef-reps", type=int, default=4)
+    for name in _DESK_REPS:
+        g.add_argument("--" + name.replace("_", "-"), type=int)
     g.add_argument("--cap", type=int, default=300_000)
     g.add_argument("--out", default="counterexample")
     g.add_argument("--format", choices=("text", "records"), default="text")

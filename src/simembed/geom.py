@@ -54,9 +54,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
     def dot(self, other: "Point") -> Fraction:
         return self.x * other.x + self.y * other.y
 
@@ -102,12 +99,6 @@ class Line:
         """Sign of A*x + B*y - C: +1 / -1 strictly off the line, 0 on it."""
         v = self.A * p.x + self.B * p.y - self.C
         return (v > 0) - (v < 0)
-
-
-class Orientation(Enum):
-    CCW = 1
-    COLLINEAR = 0
-    CW = -1
 
 
 class Relation(Enum):
@@ -280,14 +271,6 @@ def int_separable(set_a: Sequence[IntPoint], set_b: Sequence[IntPoint]) -> bool:
 
 
 # --- the Point API: each clears its own denominators -------------------------
-
-def orient(p: Point, q: Point, r: Point) -> Orientation:
-    return Orientation(_sign(int_cross(*int_coords((p, q, r)))))
-
-
-def _on_closed_segment(p: Point, s: Segment) -> bool:
-    return int_on_segment(*int_coords((p, s.a, s.b)))
-
 
 def segment_relation(s1: Segment, s2: Segment) -> Relation:
     """Classify how two segments meet, exactly.

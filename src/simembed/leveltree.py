@@ -103,7 +103,8 @@ def _sibling_cut(t: LevelTree) -> dict[int, int]:
 
 def _subdivide(t: LevelTree):
     """Return each used level's vertices by rank in id order, each vertex's
-    neighbours one rank up, and each dummy's leaf: its tree edge's child."""
+    neighbours one rank up, and `after`: on each level, the vertex that a
+    later interchangeable leaf's chain must follow."""
     n = t.tree.n
     # number the used levels densely: a level holding only dummies adds no
     # constraint, so a chain needs one dummy per used level it passes
@@ -113,17 +114,23 @@ def _subdivide(t: LevelTree):
     for v in range(n):
         levels[lev[v]].append(v)
     up = [[] for _ in range(n)]
-    leaf = {}
+    # interchangeable leaves (same parent and level) have chains on the same
+    # levels, laid in id order: one relative order suffices
+    first = {v: u for v, u in _sibling_cut(t).items() if not t.tree.children(v)}
+    chains, after = {}, {}
     for u, v in t.tree.edges():
         a, b = (u, v) if lev[u] < lev[v] else (v, u)
+        chain = chains[v] = [v]
         for level in range(lev[a] + 1, lev[b]):
             d = len(up)  # the next dummy
-            leaf[d] = v
+            chain.append(d)
             levels[level].append(d)
             up.append([a])
             a = d
         up[b].append(a)
-    return levels, up, leaf
+        if v in first:
+            after.update(zip(chain, chains[first[v]]))
+    return levels, up, after
 
 
 def _ordering_oracle(t: LevelTree, budget: int):
@@ -137,20 +144,11 @@ def _ordering_oracle(t: LevelTree, budget: int):
     above is not left of the rightmost neighbour above of a vertex already
     on its level (equal positions are one shared neighbour): one test
     against a frontier `hi`."""
-    levels, up, leaf = _subdivide(t)
-    # interchangeable leaves: the sibling cut restricted to leaves (same
-    # parent and level, so isomorphic dummy chains on the same levels: one
-    # relative order suffices).  Each maps to the leaf that must precede it.
-    sym_later = {v: u for v, u in _sibling_cut(t).items()
-                 if not t.tree.children(v)}
-
-    def tag(v):
-        return leaf.get(v, v)
-
+    levels, up, after = _subdivide(t)
     slots = [(lv, k) for lv, members in enumerate(levels) for k in range(len(members))]
     pos = {}  # v -> its index on its level, in the order the slots filled
     span = {}  # v -> positions of its leftmost and rightmost neighbour above
-    stack, nodes = [], 0  # per open slot: cursor, frontier, its level's tags
+    stack, nodes = [], 0  # per open slot: its cursor and frontier
     while len(pos) < len(slots):
         lv, k = slots[len(pos)]
         if len(stack) == len(pos):  # the slot opens: v just filled the one before
@@ -158,18 +156,16 @@ def _ordering_oracle(t: LevelTree, budget: int):
                 for w in levels[lv]:
                     ps = [pos[u] for u in up[w]]
                     span[w] = (min(ps, default=inf), max(ps, default=-1))
-            stack.append((iter(levels[lv]), max(hi, span[v][1]) if k else -1,
-                          tags | {tag(v)} if k else set()))
-        cursor, hi, tags = stack[-1]
+            stack.append((iter(levels[lv]), max(hi, span[v][1]) if k else -1))
+        cursor, hi = stack[-1]
         for v in cursor:
             if v in pos:
                 continue
             nodes += 1
             if nodes > budget:
                 return None, nodes
-            first = sym_later.get(tag(v))
-            if first is not None and first not in tags:
-                continue  # equivalent leaf chain must come first
+            if v in after and after[v] not in pos:
+                continue  # the equivalent leaf chain must come first
             if span[v][0] >= hi:
                 break
         else:  # the slot has tried every vertex: back to the slot before

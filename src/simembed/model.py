@@ -74,9 +74,6 @@ class RootedTree:
         return RootedTree(len(parent), tuple(parent), root,
                           tuple(labels) if labels else ())
 
-    def depths(self) -> dict[VertexId, int]:
-        return dict(enumerate(self.depth))
-
     @cached_property
     def _kids(self) -> tuple[tuple[VertexId, ...], ...]:
         # built on the first children() call, not at construction; tuples,

@@ -35,11 +35,11 @@ from simembed.counterexample import (
 )
 from simembed.depth2 import depth2_trees, enumerate_depth2_suite
 from simembed.geom import (
-    Orientation,
     Point,
     Segment,
     convex_hull,
-    orient,
+    int_coords,
+    int_cross,
     segment_relation,
 )
 from simembed.leveltree import (
@@ -212,7 +212,8 @@ class TestAcceptance6CrossChecks:
         rng = random.Random(7)
         for _ in range(10_000):
             p, q, r = (self._rand_point(rng) for _ in range(3))
-            assert orient(p, q, r).value == -orient(p, r, q).value
+            a, b, c = int_coords((p, q, r))
+            assert int_cross(a, b, c) == -int_cross(a, c, b)
 
     def test_segment_relation_symmetry(self):
         rng = random.Random(8)

@@ -25,7 +25,6 @@ from simembed.analyzer import (
     UnorderableJoints,
     classify_connections,
     classify_index_pairs,
-    classify_passage_pair,
     compute_channels,
     detect_cuts,
     detect_passages,
@@ -191,7 +190,8 @@ class TestPassagePairs:
         p = detect_passages(inst, d, plan)[0]
         # a passage of joints (1, 2) against a synthetic one of (3, 4)
         q = type(p)(c1=0, c2=1, c_sep=2, joint=3, sep_joint=4)
-        assert classify_passage_pair(p, q) is PassageRelation.Independent
+        rel = classify_index_pairs((p.joint, p.sep_joint), (q.joint, q.sep_joint))
+        assert rel is PassageRelation.Independent
 
 
 # --- channel witnesses -----------------------------------------------------

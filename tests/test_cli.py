@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simembed.cli import main, render_svg
-from simembed.counterexample import CellLayout, SequencePlan
+from simembed.counterexample import (CellLayout, CounterexampleParams, SequencePlan,
+                                     size_report)
 from simembed.geom import Point
 from simembed.leveltree import (
     LevelTree,
@@ -292,6 +293,21 @@ class TestGenerateParams:
                      "--mode", "symbolic", "--format", "records"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["cells_per_formation"] == 592
+
+    def test_symbolic_records_take_the_repetition_flags(self, capsys):
+        assert main(["generate", "--s", "2", "--x", "1", "--y", "2",
+                     "--mode", "symbolic", "--sef-reps", "8",
+                     "--sef-tuple", "4", "--format", "records"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        # 4 EF tuples of 4 joints each
+        assert (rec["joints"], rec["vertices_total"]) == (16, 710_529)
+        rep = size_report(CounterexampleParams(2, 1, 2, sef_reps=8, sef_tuple=4))
+        assert rec == {"joints": rep.joints, "cells_per_joint": rep.cells_per_joint,
+                       "cells_per_formation": rep.cells_per_formation,
+                       "head": list(rep.cell_head_counts),
+                       "tail": list(rep.cell_tail_counts),
+                       "stabilizers": rep.cell_stabilizers,
+                       "vertices_total": rep.vertices_total}
 
     def test_params_text_degeneracy(self, capsys):
         assert main(["params", "1", "2"]) == 0

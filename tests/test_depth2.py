@@ -120,7 +120,7 @@ class TestTreeEnumeration:
 
     def test_all_depth_at_most_two(self):
         for t in depth2_trees(6):
-            assert max(t.depths().values()) <= 2
+            assert max(t.depth) <= 2
 
 
 class TestSuite:

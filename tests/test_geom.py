@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from simembed.geom import (
     DegenerateTriangle,
     Line,
-    Orientation,
     Point,
     Position,
     Relation,
@@ -16,9 +15,9 @@ from simembed.geom import (
     convex_hull,
     linear_separator,
     int_coords,
+    int_cross,
     int_point_in_convex_polygon,
     int_point_in_triangle,
-    orient,
     segment_relation,
 )
 
@@ -31,18 +30,19 @@ points = st.builds(P, rationals, rationals)
 
 class TestOrient:
     def test_unit_triangle_ccw(self):
-        assert orient(P(0, 0), P(1, 0), P(0, 1)) is Orientation.CCW
+        assert int_cross(*int_coords((P(0, 0), P(1, 0), P(0, 1)))) > 0
 
     def test_same_line_collinear(self):
-        assert orient(P(0, 0), P(1, 1), P(2, 2)) is Orientation.COLLINEAR
+        assert int_cross(*int_coords((P(0, 0), P(1, 1), P(2, 2)))) == 0
 
     def test_reflected_unit_triangle_cw(self):
-        assert orient(P(0, 0), P(0, 1), P(1, 0)) is Orientation.CW
+        assert int_cross(*int_coords((P(0, 0), P(0, 1), P(1, 0)))) < 0
 
     @settings(max_examples=300)
     @given(points, points, points)
     def test_antisymmetry(self, p, q, r):
-        assert orient(p, q, r).value == -orient(p, r, q).value
+        a, b, c = int_coords((p, q, r))
+        assert int_cross(a, b, c) == -int_cross(a, c, b)
 
 
 class TestSegmentRelation:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import inf
 
 import pytest
 
@@ -11,7 +12,9 @@ from simembed.leveltree import (
     LevelTree,
     RegionStatus,
     RegionSystem,
+    _ordering_oracle,
     _shape_ids,
+    _sibling_cut,
     check_level_drawing,
     lemma1_tree,
     region_candidates,
@@ -186,6 +189,109 @@ class TestOracleExploration:
             h.update(f"{res.status.value} {res.nodes} {res.note} "
                      f"{sorted(pos.items())}\n".encode())
         assert h.hexdigest() == self.DIGEST
+
+
+def _leaf_subdivide(t: LevelTree):
+    """Reference: the subdivision with each dummy's leaf (its tree edge's
+    child) in place of the `after` map."""
+    rank = {lv: i for i, lv in enumerate(sorted(set(t.phi)))}
+    lev = [rank[x] for x in t.phi]
+    levels = [[] for _ in rank]
+    for v in range(t.tree.n):
+        levels[lev[v]].append(v)
+    up = [[] for _ in range(t.tree.n)]
+    leaf = {}
+    for u, v in t.tree.edges():
+        a, b = (u, v) if lev[u] < lev[v] else (v, u)
+        for level in range(lev[a] + 1, lev[b]):
+            d = len(up)
+            leaf[d] = v
+            levels[level].append(d)
+            up.append([a])
+            a = d
+        up[b].append(a)
+    return levels, up, leaf
+
+
+def _tagged_oracle(t: LevelTree, budget: int):
+    """Reference: the ordering oracle that tags each vertex with its leaf
+    and keeps, per open slot, the tags already on the level."""
+    levels, up, leaf = _leaf_subdivide(t)
+    sym_later = {v: u for v, u in _sibling_cut(t).items()
+                 if not t.tree.children(v)}
+
+    def tag(v):
+        return leaf.get(v, v)
+
+    slots = [(lv, k) for lv, members in enumerate(levels) for k in range(len(members))]
+    pos, span, stack, nodes = {}, {}, [], 0
+    while len(pos) < len(slots):
+        lv, k = slots[len(pos)]
+        if len(stack) == len(pos):
+            if k == 0:
+                for w in levels[lv]:
+                    ps = [pos[u] for u in up[w]]
+                    span[w] = (min(ps, default=inf), max(ps, default=-1))
+            stack.append((iter(levels[lv]), max(hi, span[v][1]) if k else -1,
+                          tags | {tag(v)} if k else set()))
+        cursor, hi, tags = stack[-1]
+        for v in cursor:
+            if v in pos:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None, nodes
+            first = sym_later.get(tag(v))
+            if first is not None and first not in tags:
+                continue
+            if span[v][0] >= hi:
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None, nodes
+            pos.popitem()
+            continue
+        pos[v] = k
+    return pos, nodes
+
+
+def _twin_leaf_trees(count: int, seed: int):
+    """Random leveled trees with n <= 13 and at most 7 levels; every other
+    one hangs its last two or three vertices as leaves on one level from
+    one vertex, with a used level strictly between them and that vertex."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n, k = rng.randint(2, 13), rng.randint(2, 7)
+        parent = [None] + [rng.randrange(v) for v in range(1, n)]
+        phi = [rng.randint(1, k) for _ in range(n)]
+        if len(cases) % 2 == 0:
+            m = rng.randint(2, 3)
+            if n - m < 2:
+                continue
+            p, lv = rng.randrange(n - m), rng.randint(1, k)
+            for v in range(n - m, n):
+                parent[v], phi[v] = p, lv
+            lo, hi = sorted((phi[p], lv))
+            if not any(lo < x < hi for x in phi):
+                continue
+        t = RootedTree.from_parent(parent)
+        if all(phi[u] != phi[v] for u, v in t.edges()):
+            cases.append(LevelTree.of(t, phi))
+    return cases
+
+
+class TestOracleReference:
+    def test_orderings_and_nodes_match_the_tagged_oracle(self):
+        twins = 0
+        for lt in _twin_leaf_trees(1200, 17):
+            leaf = _leaf_subdivide(lt)[2]
+            cut = {v for pair in _sibling_cut(lt).items() for v in pair
+                   if not lt.tree.children(v)}
+            twins += len(cut & set(leaf.values())) >= 2
+            assert _ordering_oracle(lt, 5_000) == _tagged_oracle(lt, 5_000), lt
+        assert twins >= 600
 
 
 def gadget_automorphisms():

@@ -146,7 +146,7 @@ class TestRootedTree:
                 u, d = parent[u], d + 1
             walk[v] = d if d <= n and 0 <= u < n else None
         if parent.count(None) == 1 and None not in walk.values():
-            assert RootedTree.from_parent(parent).depths() == walk
+            assert dict(enumerate(RootedTree.from_parent(parent).depth)) == walk
         else:
             rejected_both_ways(parent)
 
@@ -161,7 +161,7 @@ class TestRootedTree:
             while parent[u] is not None:
                 u, d = parent[u], d + 1
             walk[v] = d
-        assert t.depths() == walk
+        assert dict(enumerate(t.depth)) == walk
         assert t.depth == tuple(walk[v] for v in range(len(parent)))
         assert tree_depth(t) == max(walk.values())
 

@@ -13,7 +13,6 @@ from simembed.geom import (
     Point,
     Relation,
     Segment,
-    _on_closed_segment,
     int_coords,
     int_on_segment,
     int_relation,
@@ -110,8 +109,8 @@ def all_pairs_reference(edges, d):
             if rel in bad:
                 crossings.append((edges[i], edges[j], rel))
     on_edge = [(v, e) for v in sorted(d.pos) for e in edges
-               if v not in e and _on_closed_segment(
-                   d.pos[v], Segment(d.pos[e[0]], d.pos[e[1]]))]
+               if v not in e and int_on_segment(
+                   *int_coords((d.pos[v], d.pos[e[0]], d.pos[e[1]])))]
     return crossings, on_edge
 
 
