@@ -6,7 +6,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
+from math import inf
+from threading import Lock
 from typing import Optional, Sequence
 
 from .geom import (_BAD, Point, _sign, int_coords, int_cross, int_on_segment,
@@ -189,26 +191,113 @@ def _square_symmetries(cand) -> list[dict]:
     return out
 
 
-def _blocked(q, p, ends, segs) -> bool:
-    """Whether an unplaced vertex can no longer take q once a vertex is
-    placed at p: q is p, or on a new edge from p to one of `ends`, or one
-    of its segments (s, edges, points) meets an edge other than at a
-    shared endpoint or passes through a point."""
-    if q == p:
-        return True
-    for a in ends:
-        if int_on_segment(q, a, p):
-            return True
-    for s, edges, points in segs:
-        if q == s:
-            return True
-        for e, f in edges:
-            if int_relation(s, q, e, f) in _BAD:
-                return True
-        for r in points:
-            if int_on_segment(r, s, q):
-                return True
-    return False
+def _first_in_orbits(c, syms) -> int:
+    """The bitmask of the points of c that come first in their orbit."""
+    at = {p: i for i, p in enumerate(c)}
+    return sum(1 << i for i, p in enumerate(c) if all(i <= at[s[p]] for s in syms))
+
+
+def _box(pts) -> tuple:
+    """The bounding box (x0, y0, x1, y1) of the points."""
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    return min(xs, default=0), min(ys, default=0), max(xs, default=0), max(ys, default=0)
+
+
+def _join(b, c) -> tuple:
+    """The bounding box of the boxes b and c; a point p is the box p * 2,
+    and _NOWHERE the box of no point."""
+    return (b[0] if b[0] < c[0] else c[0], b[1] if b[1] < c[1] else c[1],
+            b[2] if b[2] > c[2] else c[2], b[3] if b[3] > c[3] else c[3])
+
+
+_NOWHERE = (inf, inf, -inf, -inf)
+
+
+def _meets(b, c) -> bool:
+    """Whether the closed boxes b and c share a point."""
+    return b[0] <= c[2] and c[0] <= b[2] and b[1] <= c[3] and c[1] <= b[3]
+
+
+class _Masks(dict):
+    """The blocking masks over one candidate list c: for one obstacle, the
+    bitmask of the points q of c that it rules out.
+
+    Obstacles are given by ids into `pts`, the search's point table (c
+    itself when every vertex shares c).  With m = len(pts), a mask's key
+    names its obstacle:
+    - e m + f: q lies on the edge (e, f) (int_on_segment);
+    - (s + 1) m^2 + e m + f: q is s, or the segment sq meets the edge
+      (e, f) other than at a shared endpoint (int_relation in _BAD);
+    - (m + 1) m^2 + s m + r: q is s, or r lies on the segment sq
+      (int_on_segment).
+    A mask is filled point by point, as domains ask for points: its value
+    holds the mask in the low len(c) bits and, above them, the bits of
+    the points tested so far.
+    """
+
+    def __init__(self, c, pts, ids):
+        self.c, self.pts, self.m, self.ids, self.w = c, pts, len(pts), ids, len(c)
+        at: dict = {}
+        for j, i in enumerate(ids):
+            at[i] = at.get(i, 0) | 1 << j
+        self.bit = at  # point id -> the bits of its copies in c
+        self.box = _box(c)
+
+    def fill(self, key, v, need) -> int:
+        """The value v of `key` with the points of the bitmask `need`
+        tested as well; the caller stores it."""
+        c, m, pts = self.c, self.m, self.pts
+        s, ef = divmod(key, m * m)
+        e, f = pts[ef // m], pts[ef % m]
+        a = pts[s - 1] if 0 < s <= m else None
+        v |= need << self.w
+        while need:
+            b = need & -need
+            need ^= b
+            q = c[b.bit_length() - 1]
+            if not s:
+                hit = int_on_segment(q, e, f)
+            elif a is not None:
+                hit = q == a or int_relation(a, q, e, f) in _BAD
+            else:  # e is the anchor, f the point
+                hit = q == e or int_on_segment(f, e, q)
+            if hit:
+                v |= b
+        return v
+
+
+# The masks of a search whose vertices all share one candidate list stay
+# here for later searches on the same list, keyed by its integer points in
+# order, least recently used first, with its square symmetries and the
+# root domain they leave.  Each search ends by evicting until both bounds
+# hold; the lock keeps searches in other threads from seeing the memo
+# half updated.
+_MEMO_LISTS = 4        # candidate lists kept
+_MEMO_MASKS = 16_384   # masks kept over all of them, and added by one search
+_memo: dict = {}
+_memo_lock = Lock()
+
+
+def _shared(c) -> tuple:
+    """The memo entry of candidate list c: (masks, root domain, symmetry
+    count), made on first use."""
+    key = tuple(c)
+    with _memo_lock:
+        entry = _memo.pop(key, None)
+        if entry is None:
+            syms = _square_symmetries([key])
+            at: dict = {}
+            ids = [at.setdefault(p, i) for i, p in enumerate(key)]
+            entry = (_Masks(key, key, ids), _first_in_orbits(key, syms), len(syms))
+        _memo[key] = entry
+    return entry
+
+
+def _evict() -> None:
+    with _memo_lock:
+        while (len(_memo) > _MEMO_LISTS
+               or sum(len(e[0]) for e in _memo.values()) > _MEMO_MASKS):
+            del _memo[next(iter(_memo))]
 
 
 def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchResult:
@@ -228,6 +317,22 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
     placement so far, and an emptied domain backtracks (Haralick and
     Elliott, 1980).
 
+    Each obstacle's effect on a candidate list is a blocking mask
+    (_Masks); a domain loses the OR of its obstacles' masks.  A mask is
+    kept for the whole search and filled by the integer predicates only
+    at the points a domain still holds and no earlier obstacle removed,
+    so no point is tested twice against one obstacle.  A vertex with no
+    placed neighbour whose list neither holds the new point nor meets a
+    new edge's bounding box is skipped, and the segments from the new
+    point to a neighbour's list skip the placed edges and points when the
+    bounding box of the placed points misses that of the segments, so a
+    chain of level rows costs a linear number of predicate calls.
+    When every vertex shares one list, its masks, symmetries and root
+    domain come from a memo of at most _MEMO_LISTS lists and _MEMO_MASKS
+    masks, and later searches on that list reuse them.  A search adds at
+    most _MEMO_MASKS masks; past that it fills new ones without keeping
+    them.
+
     Two cuts, each sound for every caller: order[0] takes only the first
     point of its list in each orbit of the square symmetries that map
     every list onto itself (_square_symmetries); a vertex v in `after`
@@ -238,7 +343,9 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
     caller's negative answer.  Found carries the drawing on the given
     points, re-checked by check_drawing on every graph.  Once `budget`
     nodes are spent the answer is BudgetExceeded with nodes == budget.
-    metadata counts the square symmetries and the sibling cuts.
+    metadata counts the square symmetries, the sibling cuts, this
+    search's mask lookups that called a predicate (`masks_filled`) and
+    those that did not (`masks_reused`).
     """
     n = len(order)
     after = after or {}
@@ -247,56 +354,106 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
         flat = iter(int_coords(p for c in lists.values() for p in c))
         ints = {k: [next(flat) for _ in c] for k, c in lists.items()}
         icand = [ints[id(c)] for c in cand]
-    syms = _square_symmetries(icand)
-    meta = {"square_symmetries": len(syms), "sibling_cuts": len(after)}
-    nbrs = [[[] for _ in range(n)] for _ in graphs]
+    lists = list({id(c): c for c in icand}.values())
+    root = order[0]
+    if len(lists) == 1:
+        table, first, nsyms = _shared(lists[0])
+        masks = [table] * n
+    else:
+        # every distinct point gets an id; each list its own masks
+        pts = list(dict.fromkeys(p for c in lists for p in c))
+        pid = {p: i for i, p in enumerate(pts)}
+        own = {id(c): _Masks(c, pts, [pid[p] for p in c]) for c in lists}
+        masks = [own[id(c)] for c in icand]
+        syms = _square_symmetries(icand)
+        first, nsyms = _first_in_orbits(icand[root], syms), len(syms)
+    m, pts = masks[0].m, masks[0].pts
+    meta = {"square_symmetries": nsyms, "sibling_cuts": len(after)}
+    adj: list[list] = [[] for _ in range(n)]  # (graph, neighbour) pairs
     for g, es in enumerate(graphs):
         for u, v in es:
-            nbrs[g][u].append(v)
-            nbrs[g][v].append(u)
-    pos: list = [None] * n
+            adj[u].append((g, v))
+            adj[v].append((g, u))
+    # mask keys (_Masks): edge e m + f, then offset by the anchor
+    m2 = m * m
+    thru = (m + 1) * m2
+    pos: list = [None] * n       # point id of each placed vertex
+    placed: list = []            # the point ids of order[:k + 1], in order
+    near = [0] * n               # placed neighbours, over all graphs
     idx = [0] * n
-    fixed: list[list] = [[] for _ in graphs]  # placed edges per graph
+    fixed: list[list] = [[] for _ in graphs]  # placed edges' keys per graph
+    hull = [_NOWHERE]            # hull[k] boxes the points of placed[:k]
     dom = [(1 << len(c)) - 1 for c in icand]
-    root = order[0]
-    at = {p: i for i, p in enumerate(icand[root])}
-    dom[root] = sum(1 << i for i, p in enumerate(icand[root])
-                    if all(i <= at[s[p]] for s in syms))
-    nodes = 0
+    dom[root] = first
+    nodes = looks = fills = 0
+    room = _MEMO_MASKS  # masks this search may still add
 
-    def prune(v, p):
-        # place v at p; return the domains to restore and the new edges,
-        # or None (and undo the placement) when some domain empties
+    def prune(k, p):
+        # place v = order[k] at point id p; return the new edges, or None
+        # (and undo the placement) when some domain empties
+        nonlocal looks, fills, room
+        v = order[k]
         pos[v] = p
-        new = [(g, pos[x]) for g, nb in enumerate(nbrs) for x in nb[v]
-               if pos[x] is not None]
-        ends = [a for _, a in new]
-        others = [q for q in pos if q is not None and q != p]
+        placed.append(p)
+        new = [(g, pos[x] * m + p) for g, x in adj[v] if pos[x] is not None]
+        ons = [ef for _, ef in new]
+        for _, x in adj[v]:
+            near[x] += 1
+        pb = pts[p] * 2
+        hull.append(_join(hull[k], pb))
+        reach = None  # the box of the new edges, made when first needed
+        from_p, thru_p = (p + 1) * m2, thru + p * m
         saved = []
-        for w in range(n):
-            if pos[w] is not None:
-                continue
-            # segments from w's placed neighbours, each with the edges and
-            # points it must avoid (an edge at p is covered by `ends` and
-            # `others`)
-            segs = [(p, fixed[g], others) if y == v else
-                    (pos[y], [(a, p) for h, a in new if h == g], (p,))
-                    for g, nb in enumerate(nbrs) for y in nb[w]
-                    if pos[y] is not None]
-            c, d, keep = icand[w], dom[w], dom[w]
-            while d:
-                bit = d & -d
-                d ^= bit
-                if _blocked(c[bit.bit_length() - 1], p, ends, segs):
-                    keep ^= bit
-            if keep != dom[w]:
+        # by vertex id, as the point-by-point prune went: on most large
+        # searches measured, that meets an emptied domain sooner than
+        # preorder, and so tests fewer points
+        for w in sorted(order[k + 1:]):
+            ms = masks[w]
+            blk = ms.bit.get(p, 0)
+            if not (blk or near[w]):
+                # w's list misses p, and only a new edge can block it
+                if not ons:
+                    continue
+                reach = reach or reduce(_join, [pts[ef // m] * 2 for ef in ons], pb)
+                if not _meets(ms.box, reach):
+                    continue
+            keys = ons.copy()
+            for g, y in adj[w] if near[w] else ():
+                s = pos[y]
+                if s is None:
+                    continue
+                if y != v:
+                    # from s: the new edges of g and the new point
+                    keys += [(s + 1) * m2 + ef for h, ef in new if h == g]
+                    keys.append(thru + s * m + p)
+                    continue
+                # from p: the placed edges of g and the placed points,
+                # unless they all lie outside the box of the segments
+                if _meets(hull[k], _join(pb, ms.box)):
+                    keys += [from_p + ef for ef in fixed[g]]
+                    keys += [thru_p + r for r in placed[:k]]
+            live, sh, get = dom[w] & ~blk, ms.w, ms.get
+            for key in keys:
+                if not live:
+                    break
+                looks += 1
+                got = get(key, 0)
+                if (live << sh) & ~got:  # some live point is untested
+                    fills += 1
+                    val = ms.fill(key, got, live & ~(got >> sh))
+                    if got or room:
+                        room -= not got
+                        ms[key] = val
+                    got = val
+                live &= ~got
+            if live != dom[w]:
                 saved.append((w, dom[w]))
-                dom[w] = keep
-                if not keep:
+                dom[w] = live
+                if not live:
                     undo(v, saved, ())
                     return None
-        for g, a in new:
-            fixed[g].append((a, p))
+        for g, ef in new:
+            fixed[g].append(ef)
         return saved, new
 
     def undo(v, saved, new):
@@ -304,7 +461,17 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
             dom[w] = d
         for g, _ in new:
             fixed[g].pop()
+        placed.pop()
+        hull.pop()
+        for _, x in adj[v]:
+            near[x] -= 1
         pos[v] = None
+
+    def done(status, d=None):
+        # the answer, with the mask counts; the memo is trimmed to its bounds
+        meta.update(masks_filled=fills, masks_reused=looks - fills)
+        _evict()
+        return SearchResult(status, d, min(nodes, budget), metadata=meta)
 
     # depth-first over k = len(steps), order[:k] placed: rest[k] holds the
     # indices order[k] has still to try, and steps[k] undoes its placement
@@ -317,7 +484,7 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
         d = rest[k]
         if not d:  # order[k] has tried everything: back to order[k - 1]
             if not k:
-                return SearchResult(none, None, nodes, metadata=meta)
+                return done(none)
             rest.pop()
             undo(order[k - 1], *steps.pop())
             continue
@@ -325,13 +492,13 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
         rest[k] = d & (d - 1)
         nodes += 1
         if nodes > budget:
-            return SearchResult(status.BudgetExceeded, None, budget, metadata=meta)
+            return done(status.BudgetExceeded)
         idx[v] = i
-        if (step := prune(v, icand[v][i])) is not None:
+        if (step := prune(k, masks[v].ids[i])) is not None:
             steps.append(step)
     d = Drawing({v: cand[v][idx[v]] for v in range(n)})
     assert all(check_drawing(es, d).planar for es in graphs)
-    return SearchResult(status.Found, d, nodes, metadata=meta)
+    return done(status.Found, d)
 
 
 def search_embedding(i: Instance, candidate_points: Sequence[Point],

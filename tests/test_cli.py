@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from simembed import planarity
 from simembed.cli import main, render_svg
 from simembed.counterexample import (CellLayout, CounterexampleParams, SequencePlan,
                                      size_report)
@@ -701,15 +702,26 @@ class TestSearchStats:
         slt, rslt = tmp_path / "l.slt", tmp_path / "r.slt"
         slt.write_text(dump_level_tree(lt))
         rslt.write_text(dump_level_tree(lt, RegionSystem.horizontal([0, 1])))
+        planarity._memo.clear()
         for argv in (["search", sge, "--grid", "3"],
                      ["level-search", str(slt), "--method", "grid"],
                      ["level-search", str(rslt), "--grid", "3"]):
-            assert main(argv + ["--format", "records"]) == 0
-            # the record is the first line; search then prints its drawing
-            out = capsys.readouterr().out.splitlines()[0]
-            meta = json.loads(out)["metadata"]
-            for key in ("square_symmetries", "sibling_cuts"):
-                assert type(meta[key]) is int, (argv, key)
+            metas = []
+            for _ in range(2):
+                assert main(argv + ["--format", "records"]) == 0
+                # the record is the first line; search then prints its drawing
+                out = capsys.readouterr().out.splitlines()[0]
+                metas.append(json.loads(out)["metadata"])
+            for meta in metas:
+                for key in ("square_symmetries", "sibling_cuts",
+                            "masks_filled", "masks_reused"):
+                    assert type(meta[key]) is int, (argv, key)
+            # every mask lookup is a fill or a reuse, whatever the memo
+            # held; a search on one shared list leaves its masks for the next
+            looks = [m["masks_filled"] + m["masks_reused"] for m in metas]
+            assert looks[0] == looks[1] > 0, argv
+            if argv[0] == "search":
+                assert metas[0]["masks_filled"] > 0 == metas[1]["masks_filled"]
 
 
 class TestDeepInput:
