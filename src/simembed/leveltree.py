@@ -359,6 +359,8 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
             val = base.A * p.x + base.B * p.y
             if not (val < hi and (lo is None or val > lo)):
                 raise ValueError(f"candidate {p} not strictly inside region {i + 1}")
+        if len(set(pts)) < len(pts):
+            raise ValueError(f"region {i + 1} repeats a candidate")
 
     # flat-row reduction: when every region's candidates share one line
     # parallel to the system lines, any placement is a level drawing on
@@ -369,8 +371,9 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     onodes = 0
     if all(len({base.A * p.x + base.B * p.y for p in pts}) == 1 for pts in grid):
         ordering, onodes = _ordering_oracle(t, budget)
-        meta.update(flat_rows=True, oracle_nodes=onodes)
+        meta.update(flat_rows=True, oracle_nodes=min(onodes, budget))
         if onodes > budget:
+            meta.update(nodes=budget)
             return SearchResult(RegionStatus.BudgetExceeded, nodes=budget,
                                 metadata=meta)
         if ordering is None:

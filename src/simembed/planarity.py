@@ -100,9 +100,7 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
     vs = sorted(d.pos)
     ic = dict(zip(vs, int_coords(d.pos[v] for v in vs)))
     segs = [(ic[u], ic[v]) for u, v in edges]
-    points = set(ic.values())
-    # the sweep needs distinct points, which a Drawing has when built
-    if len(points) == len(vs) and _plane([(min(s), max(s)) for s in segs], points):
+    if _plane([(min(s), max(s)) for s in segs], set(ic.values())):
         return rep
     spans = [(min(a[0], b[0]), max(a[0], b[0])) for a, b in segs]
     # sweep over x: only edges whose closed x-intervals overlap can meet,
@@ -219,42 +217,36 @@ def _meets(b, c) -> bool:
 
 
 class _Masks(dict):
-    """The blocking masks over one candidate list c: for one obstacle, the
-    bitmask of the points q of c that it rules out.
+    """The blocking masks over a search's point table `pts`: for one
+    obstacle, the bitmask of the points q of the table that it rules out.
 
-    Obstacles are given by ids into `pts`, the search's point table (c
-    itself when every vertex shares c).  With m = len(pts), a mask's key
-    names its obstacle:
+    A point's id is its place in the table.  With m = len(pts), a mask's
+    key names its obstacle by point ids:
     - e m + f: q lies on the edge (e, f) (int_on_segment);
     - (s + 1) m^2 + e m + f: q is s, or the segment sq meets the edge
       (e, f) other than at a shared endpoint (int_relation in _BAD);
     - (m + 1) m^2 + s m + r: q is s, or r lies on the segment sq
       (int_on_segment).
     A mask is filled point by point, as domains ask for points: its value
-    holds the mask in the low len(c) bits and, above them, the bits of
-    the points tested so far.
+    holds the mask in the low m bits and, above them, the bits of the
+    points tested so far.
     """
 
-    def __init__(self, c, pts, ids):
-        self.c, self.pts, self.m, self.ids, self.w = c, pts, len(pts), ids, len(c)
-        at: dict = {}
-        for j, i in enumerate(ids):
-            at[i] = at.get(i, 0) | 1 << j
-        self.bit = at  # point id -> the bits of its copies in c
-        self.box = _box(c)
+    def __init__(self, pts):
+        self.pts, self.m = pts, len(pts)
 
     def fill(self, key, v, need) -> int:
         """The value v of `key` with the points of the bitmask `need`
         tested as well; the caller stores it."""
-        c, m, pts = self.c, self.m, self.pts
+        m, pts = self.m, self.pts
         s, ef = divmod(key, m * m)
         e, f = pts[ef // m], pts[ef % m]
         a = pts[s - 1] if 0 < s <= m else None
-        v |= need << self.w
+        v |= need << m
         while need:
             b = need & -need
             need ^= b
-            q = c[b.bit_length() - 1]
+            q = pts[b.bit_length() - 1]
             if not s:
                 hit = int_on_segment(q, e, f)
             elif a is not None:
@@ -278,17 +270,15 @@ _memo: dict = {}
 _memo_lock = Lock()
 
 
-def _shared(c) -> tuple:
-    """The memo entry of candidate list c: (masks, root domain, symmetry
-    count), made on first use."""
-    key = tuple(c)
+def _shared(pts) -> tuple:
+    """The memo entry of the point table pts, one list that every vertex
+    shares: (masks, root domain, symmetry count), made on first use."""
+    key = tuple(pts)
     with _memo_lock:
         entry = _memo.pop(key, None)
         if entry is None:
             syms = _square_symmetries([key])
-            at: dict = {}
-            ids = [at.setdefault(p, i) for i, p in enumerate(key)]
-            entry = (_Masks(key, key, ids), _first_in_orbits(key, syms), len(syms))
+            entry = (_Masks(key), _first_in_orbits(key, syms), len(syms))
         _memo[key] = entry
     return entry
 
@@ -300,13 +290,17 @@ def _evict() -> None:
             del _memo[next(iter(_memo))]
 
 
-def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchResult:
+def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     """Forward-checking backtracking over vertex-to-candidate maps: the one
     placement engine of the three searches.
 
     Vertex v takes one of the points cand[v], vertices in the given order;
-    a list may be shared between vertices.  The search runs on integers:
-    `icand` if given, else all lists with denominators cleared at once.
+    a list may be shared between vertices.  Precondition: any two lists
+    are the same list object or share no point, and no list repeats a
+    point.  The distinct lists, one after another in order of first use,
+    form the search's point table, cleared of denominators by one
+    int_coords call; a point's id is its place in the table, and domains,
+    masks, the sibling cut and the answer all use these ids.
     Edges of one graph may not meet other than at a shared endpoint;
     edges of different graphs may cross; no vertex may lie on an edge of
     any graph it is not an endpoint of.  Each unplaced vertex keeps a
@@ -317,16 +311,16 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
     placement so far, and an emptied domain backtracks (Haralick and
     Elliott, 1980).
 
-    Each obstacle's effect on a candidate list is a blocking mask
-    (_Masks); a domain loses the OR of its obstacles' masks.  A mask is
-    kept for the whole search and filled by the integer predicates only
-    at the points a domain still holds and no earlier obstacle removed,
-    so no point is tested twice against one obstacle.  A vertex with no
-    placed neighbour whose list neither holds the new point nor meets a
-    new edge's bounding box is skipped, and the segments from the new
-    point to a neighbour's list skip the placed edges and points when the
-    bounding box of the placed points misses that of the segments, so a
-    chain of level rows costs a linear number of predicate calls.
+    Each obstacle's effect on the table is a blocking mask (_Masks); a
+    domain loses the OR of its obstacles' masks.  A mask is kept for the
+    whole search and filled by the integer predicates only at the points
+    a domain still holds and no earlier obstacle removed, so no point is
+    tested twice against one obstacle.  A vertex with no placed neighbour
+    whose list neither holds the new point nor meets a new edge's
+    bounding box is skipped, and the segments from the new point to a
+    neighbour's list skip the placed edges and points when the bounding
+    box of the placed points misses that of the segments, so a chain of
+    level rows costs a linear number of predicate calls.
     When every vertex shares one list, its masks, symmetries and root
     domain come from a memo of at most _MEMO_LISTS lists and _MEMO_MASKS
     masks, and later searches on that list reuse them.  A search adds at
@@ -341,33 +335,31 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
 
     Returns the SearchResult, with statuses from the enum of `none`, the
     caller's negative answer.  Found carries the drawing on the given
-    points, re-checked by check_drawing on every graph.  Once `budget`
-    nodes are spent the answer is BudgetExceeded with nodes == budget.
-    metadata counts the square symmetries, the sibling cuts, this
-    search's mask lookups that called a predicate (`masks_filled`) and
-    those that did not (`masks_reused`).
+    points, re-checked on the integer points by the sweep of check_drawing
+    (_plane) on every graph.  Once `budget` nodes are spent the answer is
+    BudgetExceeded with nodes == budget.  metadata counts the square
+    symmetries, the sibling cuts, this search's mask lookups that called a
+    predicate (`masks_filled`) and those that did not (`masks_reused`).
     """
     n = len(order)
     after = after or {}
-    if icand is None:
-        lists = {id(c): c for c in cand}  # shared lists stay shared
-        flat = iter(int_coords(p for c in lists.values() for p in c))
-        ints = {k: [next(flat) for _ in c] for k, c in lists.items()}
-        icand = [ints[id(c)] for c in cand]
-    lists = list({id(c): c for c in icand}.values())
+    lists = list({id(c): c for c in cand}.values())  # shared lists stay shared
+    given = [p for c in lists for p in c]
+    pts = int_coords(given)  # the point table
+    own, lo = {}, 0  # each list's integer points, bits in the table and box
+    for c in lists:
+        ic = pts[lo:lo + len(c)]
+        own[id(c)] = ic, (1 << lo + len(c)) - (1 << lo), _box(ic)
+        lo += len(c)
+    _, full, box = zip(*(own[id(c)] for c in cand))
     root = order[0]
     if len(lists) == 1:
-        table, first, nsyms = _shared(lists[0])
-        masks = [table] * n
+        masks, first, nsyms = _shared(pts)
     else:
-        # every distinct point gets an id; each list its own masks
-        pts = list(dict.fromkeys(p for c in lists for p in c))
-        pid = {p: i for i, p in enumerate(pts)}
-        own = {id(c): _Masks(c, pts, [pid[p] for p in c]) for c in lists}
-        masks = [own[id(c)] for c in icand]
-        syms = _square_symmetries(icand)
-        first, nsyms = _first_in_orbits(icand[root], syms), len(syms)
-    m, pts = masks[0].m, masks[0].pts
+        masks = _Masks(pts)
+        syms = _square_symmetries([ic for ic, _, _ in own.values()])
+        first, nsyms = _first_in_orbits(pts, syms) & full[root], len(syms)
+    m = len(pts)
     meta = {"square_symmetries": nsyms, "sibling_cuts": len(after)}
     adj: list[list] = [[] for _ in range(n)]  # (graph, neighbour) pairs
     for g, es in enumerate(graphs):
@@ -380,13 +372,13 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
     pos: list = [None] * n       # point id of each placed vertex
     placed: list = []            # the point ids of order[:k + 1], in order
     near = [0] * n               # placed neighbours, over all graphs
-    idx = [0] * n
     fixed: list[list] = [[] for _ in graphs]  # placed edges' keys per graph
     hull = [_NOWHERE]            # hull[k] boxes the points of placed[:k]
-    dom = [(1 << len(c)) - 1 for c in icand]
+    dom = list(full)
     dom[root] = first
     nodes = looks = fills = 0
     room = _MEMO_MASKS  # masks this search may still add
+    get = masks.get
 
     def prune(k, p):
         # place v = order[k] at point id p; return the new edges, or None
@@ -402,20 +394,18 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
         pb = pts[p] * 2
         hull.append(_join(hull[k], pb))
         reach = None  # the box of the new edges, made when first needed
-        from_p, thru_p = (p + 1) * m2, thru + p * m
+        from_p, thru_p, gone = (p + 1) * m2, thru + p * m, ~(1 << p)
         saved = []
         # by vertex id, as the point-by-point prune went: on most large
         # searches measured, that meets an emptied domain sooner than
         # preorder, and so tests fewer points
         for w in sorted(order[k + 1:]):
-            ms = masks[w]
-            blk = ms.bit.get(p, 0)
-            if not (blk or near[w]):
+            if not (full[w] >> p & 1 or near[w]):
                 # w's list misses p, and only a new edge can block it
                 if not ons:
                     continue
                 reach = reach or reduce(_join, [pts[ef // m] * 2 for ef in ons], pb)
-                if not _meets(ms.box, reach):
+                if not _meets(box[w], reach):
                     continue
             keys = ons.copy()
             for g, y in adj[w] if near[w] else ():
@@ -429,21 +419,22 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
                     continue
                 # from p: the placed edges of g and the placed points,
                 # unless they all lie outside the box of the segments
-                if _meets(hull[k], _join(pb, ms.box)):
+                if _meets(hull[k], _join(pb, box[w])):
                     keys += [from_p + ef for ef in fixed[g]]
                     keys += [thru_p + r for r in placed[:k]]
-            live, sh, get = dom[w] & ~blk, ms.w, ms.get
+            live = dom[w] & gone
             for key in keys:
                 if not live:
                     break
                 looks += 1
                 got = get(key, 0)
-                if (live << sh) & ~got:  # some live point is untested
+                need = live & ~(got >> m)  # the live points not yet tested
+                if need:
                     fills += 1
-                    val = ms.fill(key, got, live & ~(got >> sh))
+                    val = masks.fill(key, got, need)
                     if got or room:
                         room -= not got
-                        ms[key] = val
+                        masks[key] = val
                     got = val
                 live &= ~got
             if live != dom[w]:
@@ -474,13 +465,13 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
         return SearchResult(status, d, min(nodes, budget), metadata=meta)
 
     # depth-first over k = len(steps), order[:k] placed: rest[k] holds the
-    # indices order[k] has still to try, and steps[k] undoes its placement
+    # point ids order[k] has still to try, and steps[k] undoes its placement
     status, rest, steps = type(none), [], []
     while len(steps) < n:
         k = len(steps)
         v = order[k]
         if len(rest) == k:  # order[k] comes up: the cut of `after` applies
-            rest.append(dom[v] & (-2 << idx[after[v]]) if v in after else dom[v])
+            rest.append(dom[v] & (-2 << pos[after[v]]) if v in after else dom[v])
         d = rest[k]
         if not d:  # order[k] has tried everything: back to order[k - 1]
             if not k:
@@ -488,17 +479,16 @@ def _place(order, cand, graphs, budget, none, after=None, icand=None) -> SearchR
             rest.pop()
             undo(order[k - 1], *steps.pop())
             continue
-        i = (d & -d).bit_length() - 1
         rest[k] = d & (d - 1)
         nodes += 1
         if nodes > budget:
             return done(status.BudgetExceeded)
-        idx[v] = i
-        if (step := prune(k, masks[v].ids[i])) is not None:
+        if (step := prune(k, (d & -d).bit_length() - 1)) is not None:
             steps.append(step)
-    d = Drawing({v: cand[v][idx[v]] for v in range(n)})
-    assert all(check_drawing(es, d).planar for es in graphs)
-    return done(status.Found, d)
+    at = [pts[p] for p in pos]
+    assert all(_plane([(min(at[u], at[v]), max(at[u], at[v])) for u, v in es], set(at))
+               for es in graphs)
+    return done(status.Found, Drawing({v: given[p] for v, p in enumerate(pos)}))
 
 
 def search_embedding(i: Instance, candidate_points: Sequence[Point],
@@ -519,12 +509,10 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
         raise PlanarityError("invalid instance: " + "; ".join(rep.violations))
     n = i.tree.n
     # de-duplicated and sorted on integer coordinates: one positive scale
-    # keeps the lexicographic order, and _place searches on these
+    # keeps the lexicographic order
     pts = list(candidate_points)
     by_int = dict(zip(int_coords(pts), pts))
-    ints = sorted(by_int)
-    if len(ints) < n:
+    if len(by_int) < n:
         return SearchResult(SearchStatus.ProvedNone)
-    return _place(i.tree.preorder(), [[by_int[k] for k in ints]] * n,
-                  [i.tree.edges(), i.path.edges()], budget,
-                  SearchStatus.ProvedNone, icand=[ints] * n)
+    return _place(i.tree.preorder(), [[by_int[k] for k in sorted(by_int)]] * n,
+                  [i.tree.edges(), i.path.edges()], budget, SearchStatus.ProvedNone)

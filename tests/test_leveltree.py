@@ -447,6 +447,25 @@ class TestRegionSearch:
         res = search_region_level_planar(lt, rs, grid, budget=100)
         assert (res.status, res.nodes) == (RegionStatus.BudgetExceeded, 100)
 
+    def test_flat_rows_out_of_budget_report_the_budget(self):
+        # the oracle runs out: its nodes and the answer's are the budget
+        lt = LevelTree.of(GADGET, (1, 3, 2, 4, 1, 4, 3, 1, 4, 1))
+        rs = RegionSystem.horizontal([0, 1, 2, 3])
+        grid = [[Point(Fraction(x), Fraction(2 * i - 1, 2)) for x in range(1, 8)]
+                for i in range(4)]
+        res = search_region_level_planar(lt, rs, grid, budget=100)
+        assert (res.status, res.nodes) == (RegionStatus.BudgetExceeded, 100)
+        assert res.metadata["flat_rows"]
+        assert res.metadata["oracle_nodes"] == res.metadata["nodes"] == 100
+
+    def test_rejects_a_region_that_repeats_a_candidate(self):
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 1]), [1, 2, 3])
+        rs = RegionSystem.horizontal([0, 1, 2])
+        grid = region_candidates(rs, per_axis=3, span=3)
+        grid[1] = grid[1] + grid[1][:1]
+        with pytest.raises(ValueError, match="region 2 repeats a candidate"):
+            search_region_level_planar(lt, rs, grid)
+
     def test_exhausted_reports_grid_metadata(self):
         lt = LevelTree.of(GADGET, (2, 4, 4, 3, 1, 1, 1, 1, 1, 1))
         rs = RegionSystem.horizontal([0, 1, 2, 3])

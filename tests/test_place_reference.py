@@ -240,6 +240,21 @@ class TestAgainstReference:
         assert warm.metadata["masks_reused"] == total
 
 
+class TestRecheck:
+    def test_a_drawing_that_fails_the_recheck_raises(self, monkeypatch):
+        # masks that block nothing let K1,3 put a leaf on the edge from
+        # the centre to another leaf; the closing sweep must catch it
+        inst = Instance(RootedTree.from_parent([None, 0, 0, 0]), PathGraph.of([1, 0, 2, 3]))
+        grid = [Point(x, y) for x in range(3) for y in range(3)]
+        planarity._memo.clear()
+        monkeypatch.setattr(_Masks, "fill", lambda self, key, v, need: v | need << self.m)
+        try:
+            with pytest.raises(AssertionError):
+                search_embedding(inst, grid)
+        finally:
+            planarity._memo.clear()
+
+
 def _grids():
     shift = (Fraction(1, 3), Fraction(2, 7))
     return {"3x3": [Point(x, y) for x in range(3) for y in range(3)],
@@ -254,7 +269,7 @@ class TestMasksExhaustive:
         pts = _grids()[name]
         c = int_coords(pts)
         m = len(c)
-        table = _Masks(c, c, list(range(m)))
+        table = _Masks(c)
         full = (1 << m) - 1
         evens = sum(1 << j for j in range(0, m, 2))
 

@@ -346,8 +346,10 @@ class TestSearchEmbedding:
         pts = [P(x, y) for x in range(3) for y in range(3)]
         r1 = search_embedding(inst, pts)
         r2 = search_embedding(inst, list(reversed(pts)))
+        r3 = search_embedding(inst, pts + pts)
         assert r1.status is SearchStatus.Found
-        assert r1.drawing == r2.drawing
+        assert r1.drawing == r2.drawing == r3.drawing
+        assert r1.nodes == r3.nodes
 
 
 # the ten-vertex gadget and a path through it, as in the benchmark's
