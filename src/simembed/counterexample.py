@@ -75,8 +75,9 @@ class CounterexampleParams:
         return self.sef_tuple * 4 * self.x
 
     def efs_needed_per_tuple(self) -> int:
-        skips = (2 if self.double_defects else 1) * (self.sef_reps // self.sef_tuple)
-        return self.sef_reps - skips
+        # with double defects a repetition skips the set {m, m % sef_tuple + 1}
+        skipped = min(2, self.sef_tuple) if self.double_defects else 1
+        return self.sef_reps - skipped * (self.sef_reps // self.sef_tuple)
 
     def formations_per_ef_tuple(self) -> int:
         # the x = 1 defect rule would skip the only tuple every time;

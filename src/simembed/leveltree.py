@@ -180,6 +180,48 @@ def _ordering_oracle(t: LevelTree, budget: int):
 
 # --- geometric searches ---------------------------------------------------
 
+def _leveled(t: LevelTree, rows, budget: int, none, method: str) -> SearchResult:
+    """The one path of the level and region searches, on one budget.
+
+    "combinatorial" and "auto" run the ordering oracle first: past the
+    budget it answers BudgetExceeded with the budget as its nodes; with
+    no orderings, `none` (the caller's negative status) over the
+    continuum.  On an adjacent-level-only tree the orderings draw each
+    level on the lexicographically least points of its row, if the row
+    has enough; "combinatorial" stops before long edges.  Else _place,
+    with the sibling cut, puts v on row phi(v) on the budget left.
+    rows(None) maps each level to its row, and rows(need) at least to
+    the need[l] least points of row l: built only when needed."""
+    status, nodes, meta = type(none), 0, {}
+    if method != "grid":
+        ordering, spent = _ordering_oracle(t, budget)
+        nodes = meta["oracle_nodes"] = min(spent, budget)
+        if spent > budget:
+            return SearchResult(status.BudgetExceeded, nodes=nodes, metadata=meta)
+        if ordering is None:
+            return SearchResult(none, nodes=nodes, metadata=meta,
+                                note="ordering oracle: nonplanar over the continuum")
+        if t.adjacent_only():
+            need = {lv: len(vs) for lv, vs in t.levels().items()}
+            lex = {lv: sorted(r, key=lambda p: (p.x, p.y))
+                   for lv, r in rows(need).items()}
+            if all(len(lex[lv]) >= m for lv, m in need.items()):
+                d = Drawing({v: lex[lv][ordering[v]] for v, lv in enumerate(t.phi)})
+                assert check_level_drawing(t, d).planar
+                return SearchResult(status.Found, d, nodes, note="ordering oracle",
+                                    metadata=meta)
+        elif method == "combinatorial":  # the orderings place bendpoints
+            return SearchResult(
+                status.BudgetExceeded, nodes=nodes, metadata=meta,
+                note="combinatorial oracle inconclusive for long edges")
+    lists = rows(None)
+    res = _place(t.tree.preorder(), [lists[lv] for lv in t.phi], [t.tree.edges()],
+                 budget - nodes, none, _sibling_cut(t))
+    res.nodes += nodes
+    res.metadata.update(meta)
+    return res
+
+
 def search_level_planar(t: LevelTree, grid_width: int,
                         budget: int = DEFAULT_BUDGET,
                         method: str = "auto") -> SearchResult:
@@ -190,42 +232,17 @@ def search_level_planar(t: LevelTree, grid_width: int,
     (hence over every grid); a positive answer materializes a drawing
     only when the tree is adjacent-level-only.  method "grid" runs the
     placement search with vertex v on the points (x, phi(v)), x in 1..W,
-    under the square-symmetry and sibling-subtree cuts.  "auto" tries the
-    combinatorial oracle first and falls back to the grid, spending one
-    budget across both: the grid gets what the oracle left.
-    """
-    counts = [len(vs) for vs in t.levels().values()]
-    if max(counts) > grid_width:
+    under the square-symmetry and sibling-subtree cuts.  "auto" runs the
+    oracle, then the grid on the budget it left (_leveled)."""
+    if max(map(len, t.levels().values())) > grid_width:
         raise ValueError("a level holds more vertices than the grid width")
-
     if method not in ("auto", "grid", "combinatorial"):
         raise ValueError(f"unknown method {method!r}")
-
-    nodes = 0
-    if method in ("auto", "combinatorial"):
-        ordering, nodes = _ordering_oracle(t, budget)
-        if nodes > budget:
-            return SearchResult(LevelStatus.BudgetExceeded, nodes=budget)
-        if ordering is None:
-            return SearchResult(
-                LevelStatus.ExhaustedNone, nodes=nodes,
-                note="ordering oracle: nonplanar over the continuum")
-        if t.adjacent_only():
-            d = Drawing({v: Point(ordering[v] + 1, t.phi[v])
-                         for v in range(t.tree.n)})
-            assert check_level_drawing(t, d).planar
-            return SearchResult(LevelStatus.Found, d, nodes, note="ordering oracle")
-        if method == "combinatorial":
-            # bend-relaxed planar but long edges present: undecided here
-            return SearchResult(
-                LevelStatus.BudgetExceeded, nodes=nodes,
-                note="combinatorial oracle inconclusive for long edges")
-
-    rows = {lv: [Point(x, lv) for x in range(1, grid_width + 1)] for lv in set(t.phi)}
-    res = _place(t.tree.preorder(), [rows[lv] for lv in t.phi], [t.tree.edges()],
-                 budget - nodes, LevelStatus.ExhaustedNone, _sibling_cut(t))
-    res.nodes += nodes
-    if res.status is LevelStatus.ExhaustedNone:
+    def rows(need):  # the points (x, l): x in 1..W, or x in 1..need[l]
+        width = need or dict.fromkeys(t.phi, grid_width)
+        return {lv: [Point(x, lv) for x in range(1, w + 1)] for lv, w in width.items()}
+    res = _leveled(t, rows, budget, LevelStatus.ExhaustedNone, method)
+    if res.status is LevelStatus.ExhaustedNone and not res.note:
         res.note = f"grid-relative (W={grid_width})"
     return res
 
@@ -260,11 +277,9 @@ def lemma1_tree():
                   _shape_ids(tree, [hi - x for x in phi], ids)[tree.root])
         reps.setdefault(key, phi)
 
-    certified = []
-    for phi in reps.values():
-        ordering, nodes = _ordering_oracle(LevelTree.of(tree, phi), CLASS_BUDGET)
-        if ordering is None and nodes <= CLASS_BUDGET:
-            certified.append(phi)
+    certified = [phi for phi in reps.values() if search_level_planar(
+        LevelTree.of(tree, phi), tree.n, CLASS_BUDGET, "combinatorial",
+    ).status is LevelStatus.ExhaustedNone]
     return tree, certified
 
 
@@ -340,15 +355,15 @@ class RegionStatus(Enum):
 def search_region_level_planar(t: LevelTree, rs: RegionSystem,
                                grid: Sequence[Sequence[Point]],
                                budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Exhaustive search over per-region candidate placements.
+    """Exhaustive search over per-region candidate placements: _leveled
+    with vertex v on the candidates of region phi(v).
 
-    Runs the placement search (_place) with vertex v on the candidates
-    of region phi(v).  Its cuts (square symmetries of the
-    candidates, interchangeable sibling subtrees) only quotient exact
-    symmetries, so exhaustion over the reduced space is exhaustion over
-    the grid.  The verdict is grid-relative evidence, recorded as such
-    in the metadata.
-    """
+    The placement search's cuts only quotient exact symmetries, so its
+    exhaustion is exhaustion over the grid: a grid-relative verdict, so
+    recorded in the metadata.  When every region's candidates share one
+    line parallel to the system lines, any placement is a level drawing
+    on those rows, so the ordering oracle goes first: its negative covers
+    every row position."""
     if len(grid) != len(rs.lines):
         raise ValueError("one candidate list per region required")
     base, pos_sys = rs.lines[0], rs.positions()
@@ -362,33 +377,17 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
         if len(set(pts)) < len(pts):
             raise ValueError(f"region {i + 1} repeats a candidate")
 
-    # flat-row reduction: when every region's candidates share one line
-    # parallel to the system lines, any placement is a level drawing on
-    # those rows, so the combinatorial ordering oracle settles the whole
-    # grid at once (its negative answer covers every row position; else
-    # the placement search gets the budget it left)
-    meta = {"per_region_candidates": [len(c) for c in grid]}
-    onodes = 0
-    if all(len({base.A * p.x + base.B * p.y for p in pts}) == 1 for pts in grid):
-        ordering, onodes = _ordering_oracle(t, budget)
-        meta.update(flat_rows=True, oracle_nodes=min(onodes, budget))
-        if onodes > budget:
-            meta.update(nodes=budget)
-            return SearchResult(RegionStatus.BudgetExceeded, nodes=budget,
-                                metadata=meta)
-        if ordering is None:
-            meta.update(nodes=onodes, claim=(
-                "flat-row grid: every placement is a level drawing, and the "
-                "ordering oracle excludes those on any parallel rows"))
-            return SearchResult(RegionStatus.ExhaustedNoneOverGrid,
-                                nodes=onodes, metadata=meta)
-
-    res = _place(t.tree.preorder(), [grid[lv - 1] for lv in t.phi], [t.tree.edges()],
-                 budget - onodes, RegionStatus.ExhaustedNoneOverGrid, _sibling_cut(t))
-    res.nodes += onodes
-    res.metadata.update(meta, nodes=res.nodes)
+    flat = all(len({base.A * p.x + base.B * p.y for p in pts}) == 1 for pts in grid)
+    res = _leveled(t, lambda need: dict(enumerate(grid, 1)), budget,
+                   RegionStatus.ExhaustedNoneOverGrid, "auto" if flat else "grid")
+    res.metadata.update(per_region_candidates=[len(c) for c in grid], nodes=res.nodes)
+    if flat:
+        res.metadata["flat_rows"] = True
     if res.status is RegionStatus.ExhaustedNoneOverGrid:
-        res.metadata["claim"] = "no placement over the supplied grid (not a continuum proof)"
+        res.metadata["claim"] = (
+            "flat-row grid: every placement is a level drawing, and the "
+            "ordering oracle excludes those on any parallel rows" if res.note
+            else "no placement over the supplied grid (not a continuum proof)")
     return res
 
 

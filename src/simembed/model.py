@@ -112,10 +112,6 @@ class PathGraph:
     def of(order: Sequence[VertexId]) -> "PathGraph":
         return PathGraph(tuple(order))
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         return [(self.order[i], self.order[i + 1]) for i in range(len(self.order) - 1)]
 

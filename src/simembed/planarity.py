@@ -334,16 +334,19 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     it in the same list.
 
     Returns the SearchResult, with statuses from the enum of `none`, the
-    caller's negative answer.  Found carries the drawing on the given
-    points, re-checked on the integer points by the sweep of check_drawing
-    (_plane) on every graph.  Once `budget` nodes are spent the answer is
-    BudgetExceeded with nodes == budget.  metadata counts the square
-    symmetries, the sibling cuts, this search's mask lookups that called a
-    predicate (`masks_filled`) and those that did not (`masks_reused`).
+    caller's negative answer, which an empty list gets at once with 0
+    nodes.  Found carries the drawing on the given points, re-checked on
+    the integer points by the sweep of check_drawing (_plane) on every
+    graph.  Once `budget` nodes are spent the answer is BudgetExceeded
+    with nodes == budget.  metadata counts the square symmetries, the
+    sibling cuts, this search's mask lookups that called a predicate
+    (`masks_filled`) and those that did not (`masks_reused`).
     """
     n = len(order)
     after = after or {}
     lists = list({id(c): c for c in cand}.values())  # shared lists stay shared
+    if not all(lists):  # a vertex without a candidate: no placement
+        return SearchResult(none)
     given = [p for c in lists for p in c]
     pts = int_coords(given)  # the point table
     own, lo = {}, 0  # each list's integer points, bits in the table and box

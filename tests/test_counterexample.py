@@ -174,7 +174,9 @@ class TestDeskBuild:
 
     @pytest.mark.parametrize("p", [reduced(s, x) for s, x in LATTICE] + [
         reduced(2, 1, sef_tuple=4, sef_reps=4, sef_efs=2, double_defects=True),
-        reduced(3, 1, formation_reps=1)])
+        reduced(3, 1, formation_reps=1),
+        # one EF tuple: a double defect skips that one tuple, not two
+        reduced(2, 1, sef_tuple=1, sef_reps=2, sef_efs=1, double_defects=True)])
     def test_size_report_counts_the_built_vertices(self, p):
         # the cap check reads size_report's count before building
         assert size_report(p).vertices_total == build_instance(p)[0].tree.n

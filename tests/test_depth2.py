@@ -11,7 +11,8 @@ from simembed.depth2 import (
     plan_depth2,
     verify_conditions,
 )
-from simembed.model import Instance, PathGraph, RootedTree
+from simembed.geom import Point
+from simembed.model import Drawing, Instance, PathGraph, RootedTree
 from simembed.planarity import check_simultaneous
 
 
@@ -84,6 +85,28 @@ class TestEmbed:
         d = assert_good(i)
         assert all(q.denominator == 1 and abs(q) < 2 * n ** 3
                    for p in d.pos.values() for q in (p.x, p.y))
+
+
+class TestVerifyConditions:
+    # tree - 0 0 1 2 1 with path 3 1 0 5 2 4: u = 1, v = 5, P1 = 1 3 and
+    # P2 = 5 2 4; one vertex of its drawing moves by (dx, dy)
+    @pytest.mark.parametrize("v,dx,dy,messages", [
+        (1, 50, 0, ["condition 1: u is not the leftmost non-root vertex",
+                    "condition 2: P1 not x-increasing at (1, 3)",
+                    "condition 3: v is not the rightmost vertex",
+                    "condition 4: P2 not entirely right of P1",
+                    "wedge: vertex 1 outside its wedge"]),
+        (2, 100, 0, ["condition 3: v is not the rightmost vertex",
+                     "condition 4: P2 not x-decreasing at (5, 2)"]),
+        (1, 0, -100, ["condition 5: vertex 1 not above segment rv",
+                      "wedge: vertex 1 outside its wedge"]),
+    ])
+    def test_each_rejection(self, v, dx, dy, messages):
+        i = inst([None, 0, 0, 1, 2, 1], [3, 1, 0, 5, 2, 4])
+        pos = dict(embed_depth2(i).pos)
+        assert verify_conditions(i, Drawing(pos)).valid
+        pos[v] = Point(pos[v].x + dx, pos[v].y + dy)
+        assert verify_conditions(i, Drawing(pos)).violations == messages
 
 
 class TestPlan:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from simembed.geom import (
     DegenerateTriangle,
+    GeometryError,
     Line,
     Point,
     Position,
@@ -18,6 +19,7 @@ from simembed.geom import (
     int_cross,
     int_point_in_convex_polygon,
     int_point_in_triangle,
+    scalar,
     segment_relation,
 )
 
@@ -201,6 +203,16 @@ class TestLine:
         assert (l1.A, l1.B, l1.C) == (3, 2, 6)
         l2 = Line(-2, 0, -4)
         assert (l2.A, l2.B, l2.C) == (1, 0, 2)
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(GeometryError, match="degenerate line"):
+            Line(0, 0, 1)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError, match="floating point"):
+            scalar(0.5)
+        with pytest.raises(TypeError):
+            Line(0, 1, 0.5)
 
     def test_through_points(self):
         l = Line(0, 1, 1)  # y = 1, through (0, 1) and (1, 1)

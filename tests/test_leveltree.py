@@ -390,6 +390,71 @@ class TestRegionSystem:
         assert all(len(pts) == 36 for pts in grid)
 
 
+def _leveled_trees_with_rows(count: int, seed: int):
+    """Random leveled trees with n <= 9 and at most 5 levels, each with a
+    row width from its widest level to two more."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n, k = rng.randint(1, 9), rng.randint(2, 5)
+        t = RootedTree.from_parent([None] + [rng.randrange(v) for v in range(1, n)])
+        phi = [rng.randint(1, k) for _ in range(n)]
+        if all(phi[u] != phi[v] for u, v in t.edges()):
+            lt = LevelTree.of(t, phi)
+            cases.append((lt, max(map(len, lt.levels().values())) + rng.randint(0, 2)))
+    return cases
+
+
+class TestOnePath:
+    def test_level_search_and_flat_row_region_search_agree(self):
+        # the level rows (x, l), x in 1..W, each strictly inside the strip
+        # between the lines y = l - 1/2 and y = l + 1/2: both searches run
+        # the oracle, then the placement search on the same lists
+        same = {LevelStatus.Found: RegionStatus.Found,
+                LevelStatus.ExhaustedNone: RegionStatus.ExhaustedNoneOverGrid,
+                LevelStatus.BudgetExceeded: RegionStatus.BudgetExceeded}
+        seen = set()
+        for lt, w in _leveled_trees_with_rows(100, 21):
+            rs = RegionSystem.horizontal([Fraction(2 * l + 1, 2) for l in range(1, lt.k + 1)])
+            grid = [[Point(x, l) for x in range(1, w + 1)] for l in range(1, lt.k + 1)]
+            for budget in (50, 500, 20_000):
+                a = search_level_planar(lt, w, budget)
+                b = search_region_level_planar(lt, rs, grid, budget)
+                assert (same[a.status], a.nodes, a.drawing) == (b.status, b.nodes, b.drawing)
+                assert a.metadata["oracle_nodes"] == b.metadata["oracle_nodes"]
+                seen.add((a.status, lt.adjacent_only()))
+        assert (LevelStatus.Found, True) in seen and len(seen) >= 4
+
+    def test_flat_rows_draw_from_the_orderings(self):
+        # an adjacent-level-only tree: the orderings are the drawing, each
+        # row's points taken in lexicographic order, after the oracle's nodes
+        lt = LevelTree.of(RootedTree.from_parent([None, 0]), (2, 1))
+        rs = RegionSystem.horizontal([Fraction(3, 2), Fraction(5, 2)])
+        grid = [[Point(x, l) for x in (3, 1, 2)] for l in (1, 2)]
+        res = search_region_level_planar(lt, rs, grid)
+        assert (res.status, res.nodes, res.note) == (RegionStatus.Found, 2, "ordering oracle")
+        assert res.drawing.pos == {0: Point(1, 2), 1: Point(1, 1)}
+        assert res.metadata["flat_rows"] and res.metadata["oracle_nodes"] == 2
+
+    def test_flat_row_continuum_negative_carries_the_note(self):
+        lt = LevelTree.of(GADGET, (1, 2, 2, 2, 1, 1, 1, 1, 3, 4))
+        rs = RegionSystem.horizontal([0, 1, 2, 3])
+        grid = [[Point(x, Fraction(2 * i - 1, 2)) for x in range(1, 8)] for i in range(4)]
+        level = search_level_planar(lt, 7)
+        res = search_region_level_planar(lt, rs, grid)
+        assert res.status is RegionStatus.ExhaustedNoneOverGrid
+        assert res.note == level.note == "ordering oracle: nonplanar over the continuum"
+        assert res.metadata["claim"].startswith("flat-row grid")
+
+    def test_level_answers_report_the_oracle_nodes(self):
+        lt = LevelTree.of(GADGET, (1, 2, 2, 2, 1, 1, 3, 3, 3, 4))
+        comb = search_level_planar(lt, 6, method="combinatorial")
+        assert comb.metadata["oracle_nodes"] == comb.nodes
+        auto = search_level_planar(lt, 6)
+        assert auto.metadata["oracle_nodes"] == comb.nodes < auto.nodes
+        assert "oracle_nodes" not in search_level_planar(lt, 6, method="grid").metadata
+
+
 class TestRegionSearch:
     def test_small_found(self):
         t = RootedTree.from_parent([None, 0, 1])
@@ -464,6 +529,32 @@ class TestRegionSearch:
         grid = region_candidates(rs, per_axis=3, span=3)
         grid[1] = grid[1] + grid[1][:1]
         with pytest.raises(ValueError, match="region 2 repeats a candidate"):
+            search_region_level_planar(lt, rs, grid)
+
+    def test_an_empty_candidate_list_answers_at_once(self):
+        # region 4 takes a vertex and has no point: no placement, 0 nodes
+        lt = LevelTree.of(GADGET, (1, 2, 2, 2, 3, 3, 3, 3, 3, 4))
+        rs = RegionSystem.horizontal([0, 1, 2, 3])
+        grid = region_candidates(rs, per_axis=3, span=3)
+        grid[3] = []
+        for budget in (10, 10_000):
+            res = search_region_level_planar(lt, rs, grid, budget=budget)
+            assert (res.status, res.nodes) == (RegionStatus.ExhaustedNoneOverGrid, 0)
+            assert res.metadata["per_region_candidates"] == [9, 9, 9, 0]
+
+    def test_rejects_a_grid_without_one_list_per_region(self):
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 1]), [1, 2, 3])
+        rs = RegionSystem.horizontal([0, 1, 2])
+        grid = region_candidates(rs, per_axis=3, span=3)
+        with pytest.raises(ValueError, match="one candidate list per region"):
+            search_region_level_planar(lt, rs, grid[:2])
+
+    def test_rejects_a_candidate_outside_its_region(self):
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 1]), [1, 2, 3])
+        rs = RegionSystem.horizontal([0, 1, 2])
+        grid = region_candidates(rs, per_axis=3, span=3)
+        grid[2] = grid[2] + [Point(1, 1)]  # on line 2, not inside region 3
+        with pytest.raises(ValueError, match="not strictly inside region 3"):
             search_region_level_planar(lt, rs, grid)
 
     def test_exhausted_reports_grid_metadata(self):

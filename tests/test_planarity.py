@@ -20,6 +20,7 @@ from simembed.geom import (
 )
 from simembed.model import Drawing, Instance, PathGraph, RootedTree
 from simembed.planarity import (
+    PlanarityError,
     SearchStatus,
     check_drawing,
     check_simultaneous,
@@ -62,6 +63,15 @@ class TestCheckDrawing:
 
 
 class TestCheckSimultaneous:
+    def test_invalid_instance_rejected(self):
+        # the path misses vertex 2: neither the check nor the search runs
+        inst = Instance(RootedTree.from_parent([None, 0, 0]), PathGraph.of([0, 1]))
+        d = drawing({0: (0, 0), 1: (1, 0), 2: (0, 1)})
+        with pytest.raises(PlanarityError, match="path does not span"):
+            check_simultaneous(inst, d)
+        with pytest.raises(PlanarityError, match="invalid instance"):
+            search_embedding(inst, [P(0, 0), P(1, 0), P(0, 1)])
+
     def test_path_equals_tree_on_triangle(self):
         t = RootedTree.from_parent([None, 0, 1])
         inst = Instance(t, PathGraph.of([0, 1, 2]))
