@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import chain, compress
 from math import comb, ceil
 from typing import Optional
 
@@ -148,13 +148,17 @@ class SequencePlan:
         "tuples": [], "efs": [], "defects": [], "double": False})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "s": self.params_s,
-            "cells": [vars(c) for c in self.cells],
-            "formations": self.formations,
-            "efs": self.efs,
-            "sef": self.sef,
-        }, indent=None, separators=(",", ":"))
+        """The plan as compact JSON, each cell, formation and EF encoded
+        on its own: json.dumps of the whole plan gives the same text, but
+        its encoder holds a token list as large as the plan."""
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+
+        def array(xs) -> str:
+            return "[" + ",".join(map(encode, xs)) + "]"
+        return (f'{{"s":{encode(self.params_s)},'
+                f'"cells":{array(map(vars, self.cells))},'
+                f'"formations":{array(self.formations)},'
+                f'"efs":{array(self.efs)},"sef":{encode(self.sef)}}}')
 
     @staticmethod
     def from_json(text: str) -> "SequencePlan":
@@ -413,7 +417,10 @@ def build_instance(p: CounterexampleParams):
     # completion rule: every other id ascending (the root, the joints 1..q,
     # the rest); when an appended edge would duplicate a tree edge, pair
     # the offender with the next non-adjacent vertex further down the list
-    pool = deque(filterfalse(set(order).__contains__, range(len(parent))))
+    off_path = bytearray(b"\x01") * len(parent)  # 1 per id the order lacks
+    for v in order:
+        off_path[v] = 0
+    pool = deque(compress(range(len(parent)), off_path))
     appended: list[int] = []
 
     def adj(a, b) -> bool:
@@ -443,6 +450,10 @@ def build_instance(p: CounterexampleParams):
                 raise InvalidParams("path completion cannot avoid tree edges")
     order.extend(appended)
 
+    # as tuples, which the tree and the path keep uncopied; one at a time,
+    # so that each list is freed as soon as its copy is made
+    parent = tuple(parent)
+    labels = tuple(labels)
     inst = Instance(RootedTree.from_parent(parent, labels), PathGraph.of(order),
                     edge_disjoint_required=True)
     return inst, plan
@@ -543,10 +554,17 @@ def validate_structure(i: Instance, p: CounterexampleParams,
                     break
 
     if lengths_ok:  # else path_order raises
-        prefix = tuple(v for c in visited for v in plan.cells[c].path_order())
-        if order[:len(prefix) + 1] != prefix + (root,):
-            at = next((k for k, (a, b) in enumerate(zip(order, prefix))
-                       if a != b), len(prefix))
+        # one cell at a time, so that neither the path nor the plan's visit
+        # order is copied whole; every cell's path_order() has `size` entries
+        size = sum(lengths)
+        end = at = len(visited) * size
+        for k, c in zip(range(0, end, size), visited):
+            seq, part = plan.cells[c].path_order(), order[k:k + size]
+            if part != tuple(seq):
+                at = next((k + j for j, (a, b) in enumerate(zip(part, seq))
+                           if a != b), end)
+                break
+        if at < end or order[end:end + 1] != (root,):
             rep.add(f"path leaves the plan's visit order at position {at}")
 
     per_joint = ceil(p.cells_needed_per_joint() / p.s) * p.s * counts["stabilizers"]

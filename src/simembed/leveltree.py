@@ -366,6 +366,9 @@ def search_region_level_planar(t: LevelTree, rs: RegionSystem,
     every row position."""
     if len(grid) != len(rs.lines):
         raise ValueError("one candidate list per region required")
+    if max(t.phi) > len(rs.lines):
+        raise ValueError(f"level {max(t.phi)} has no region: the system has"
+                         f" {len(rs.lines)} lines")
     base, pos_sys = rs.lines[0], rs.positions()
     for i, pts in enumerate(grid):
         hi = pos_sys[i]

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, pairwise
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .geom import Point
@@ -25,7 +27,10 @@ class Role(Enum):
 
 
 _ROLE_BY_CODE = {r.value: r for r in Role}
-_CODE_BY_ROLE = {r: r.value for r in Role}  # faster than Enum.value
+# the code of a Role: reads the member's attribute, where Enum.value goes
+# through a Python-level property and a dict lookup hashes through
+# Enum.__hash__
+_role_code = attrgetter("_value_")
 
 
 class FormatError(ValueError):
@@ -149,20 +154,40 @@ class ValidationReport:
         self.violations.append(msg)
 
 
+def _permutation_faults(order: Sequence, n: int) -> tuple[bool, bool]:
+    """Whether `order` repeats an entry, and whether its entries as a set
+    differ from 0..n-1: what comparing set(order) with set(range(n))
+    tells, read from an n-byte mark per vertex instead of two sets.  An
+    entry outside 0..n-1 (a negative one would wrap around the mark) sends
+    the answer to those two sets, since the order is invalid anyway."""
+    seen = bytearray(n)
+    try:
+        for v in order:
+            seen[v] = 1
+        if order and min(order) < 0:
+            raise IndexError
+    except (IndexError, TypeError):
+        vertices = set(order)
+        return len(vertices) != len(order), vertices != set(range(n))
+    distinct = n - seen.count(0)
+    return distinct != len(order), distinct != n
+
+
 def validate_instance(i: Instance) -> ValidationReport:
     """Check that the path is simple, spans the tree (valid by construction)
     and, when required, shares no edge ab with it: parent[a] == b or
-    parent[b] == a.  Violations are reported, never thrown."""
+    parent[b] == a.  Violations are reported, never thrown.  The
+    permutation test takes n bytes of working memory on a valid path."""
     rep = ValidationReport()
     t, order = i.tree, i.path.order
-    vertices = set(order)
-    if len(vertices) != len(order):
+    repeated, unspanned = _permutation_faults(order, t.n)
+    if repeated:
         rep.add("path not simple")
-    if vertices != set(range(t.n)):
+    if unspanned:
         rep.add("path does not span the vertex set")
     if i.edge_disjoint_required:
         par, n = t.parent, t.n
-        shared = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])
+        shared = {(min(a, b), max(a, b)) for a, b in pairwise(order)
                   if 0 <= a < n and 0 <= b < n and (par[a] == b or par[b] == a)}
         for e in sorted(shared):
             rep.add(f"shared edge {e}")
@@ -175,6 +200,27 @@ def tree_depth(t: RootedTree) -> int:
 
 
 # --- the line grammar of .sge, .sgd and .slt -------------------------------
+
+# a long record is read and written this many tokens at a time, so that
+# no list of one string per token of the whole record is ever made
+_RUN = 1024
+
+
+def _token_runs(rest: str):
+    """rest.split() in lists of _RUN tokens but the last, each split off
+    what the previous one left."""
+    toks = rest.split(None, _RUN)
+    while len(toks) > _RUN:
+        rest = toks.pop()
+        yield toks
+        toks = rest.split(None, _RUN)
+    yield toks
+
+
+def _tokens(rest: str):
+    """rest.split(), as an iterator over its runs."""
+    return chain.from_iterable(_token_runs(rest))
+
 
 def _rows(text: str, header: str):
     """Skip blank lines and `#` comments, check that the first row is
@@ -232,41 +278,51 @@ def _rationals(tag: str, rest: str, form: str) -> list[Fraction]:
         raise FormatError(f"zero denominator in {tag + ' ' + rest!r}") from None
 
 
-def _ints(rest: str) -> list[int]:
-    return [int(tok) for tok in rest.split()]
+# the parsers return tuples, which RootedTree and PathGraph keep uncopied
+
+def _ints(rest: str) -> tuple[int, ...]:
+    return tuple(map(int, _tokens(rest)))
 
 
-def _parse_tree(rest: str) -> list[Optional[VertexId]]:
-    """The parent list of a `tree` record, `-` marking the root."""
-    return [None if tok == "-" else int(tok) for tok in rest.split()]
+def _parse_tree(rest: str) -> tuple[Optional[VertexId], ...]:
+    """The parent tuple of a `tree` record, `-` marking the root."""
+    return tuple(None if tok == "-" else int(tok) for tok in _tokens(rest))
+
+
+def _record(tag: str, xs: Sequence, word=str) -> str:
+    """`tag` and word(x) for each x, space-separated, joined _RUN words at
+    a time."""
+    return tag + " " + " ".join([" ".join(map(word, xs[k:k + _RUN]))
+                                 for k in range(0, len(xs), _RUN)])
 
 
 def _tree_record(t: RootedTree) -> str:
-    return "tree " + " ".join("-" if p is None else str(p) for p in t.parent)
+    return _record("tree", t.parent, lambda p: "-" if p is None else str(p))
 
 
 # --- .sge instance format -------------------------------------------------
 
 def dump_instance(i: Instance) -> str:
-    lines = [f"sge 1 {i.tree.n}", _tree_record(i.tree)]
-    lines.append("path " + " ".join(str(v) for v in i.path.order))
+    lines = [f"sge 1 {i.tree.n}", _tree_record(i.tree), _record("path", i.path.order)]
     if i.tree.labels:
-        lines.append("roles " + "".join(map(_CODE_BY_ROLE.__getitem__, i.tree.labels)))
-    return "\n".join(lines) + "\n"
+        lines.append("roles " + "".join(map(_role_code, i.tree.labels)))
+    return "\n".join(lines + [""])
 
 
-def _roles(rest: str) -> list[Role]:
+def _roles(rest: str) -> tuple[Role, ...]:
     try:
-        return list(map(_ROLE_BY_CODE.__getitem__, rest.replace(" ", "")))
+        return tuple(map(_ROLE_BY_CODE.__getitem__, rest.replace(" ", "")))
     except KeyError as e:
         raise FormatError(f"unknown role code {e.args[0]!r}") from None
 
 
 def load_instance(text: str, edge_disjoint_required: bool = False) -> Instance:
+    """Parse an .sge document.  The path record must be a permutation of
+    0..n-1, a test that takes n bytes of working memory."""
     (n,), (parent, order, labels) = _records(
         text, "sge 1 <n>", {"tree": _parse_tree, "path": _ints, "roles": _roles},
         required=("tree", "path"))
-    if set(order) != set(range(n)):
+    if any(_permutation_faults(order, n)):
         raise FormatError("path record must list each vertex 0..n-1 once")
     tree = RootedTree.from_parent(parent, labels)
     return Instance(tree, PathGraph.of(order), edge_disjoint_required)

@@ -549,6 +549,14 @@ class TestRegionSearch:
         with pytest.raises(ValueError, match="one candidate list per region"):
             search_region_level_planar(lt, rs, grid[:2])
 
+    def test_rejects_a_level_without_a_region(self):
+        # phi names level 3 of a 2-line system: a ValueError, not a KeyError
+        lt = LevelTree.of(RootedTree.from_parent([None, 0]), (1, 3))
+        rs = RegionSystem.horizontal([1, 2])
+        grid = region_candidates(rs, per_axis=2, span=2)
+        with pytest.raises(ValueError, match="level 3 has no region"):
+            search_region_level_planar(lt, rs, grid)
+
     def test_rejects_a_candidate_outside_its_region(self):
         lt = LevelTree.of(RootedTree.from_parent([None, 0, 1]), [1, 2, 3])
         rs = RegionSystem.horizontal([0, 1, 2])

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,28 @@ class TestSerialization:
     def test_instance_without_roles(self):
         inst = Instance(star(2), PathGraph.of([1, 0, 2]))
         assert load_instance(dump_instance(inst)).tree == inst.tree
+
+    @pytest.mark.parametrize("path", [
+        "1 0 1",    # repeated
+        "-1 0 1",   # negative: as an index, -1 would name vertex 2
+        "0 1 3",    # out of range
+    ])
+    def test_path_record_must_be_a_permutation(self, path):
+        with pytest.raises(FormatError, match=re.escape(
+                "path record must list each vertex 0..n-1 once")):
+            load_instance(f"sge 1 3\ntree - 0 0\npath {path}\n")
+
+    def test_long_records_split_on_any_whitespace(self):
+        # records longer than one run of tokens, with tabs and runs of
+        # spaces between them, read as str.split() reads them
+        n = 2_500
+        inst = Instance(star(n - 1), PathGraph.of(range(n - 1, -1, -1)))
+        seps = itertools.cycle([" ", "\t", "   ", " \t "])
+        tree, path = ("".join(f"{w}{next(seps)}" for w in words).rstrip()
+                      for words in (["-"] + ["0"] * (n - 1),
+                                    map(str, range(n - 1, -1, -1))))
+        back = load_instance(f"sge 1 {n}\ntree {tree}\npath {path} \n")
+        assert back == inst
 
     def test_comments_ignored(self):
         text = "# a comment\nsge 1 2\ntree - 0\n# another\npath 0 1\n"
