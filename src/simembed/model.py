@@ -311,7 +311,7 @@ def dump_instance(i: Instance) -> str:
 
 def _roles(rest: str) -> tuple[Role, ...]:
     try:
-        return tuple(map(_ROLE_BY_CODE.__getitem__, rest.replace(" ", "")))
+        return tuple(map(_ROLE_BY_CODE.__getitem__, "".join(rest.split())))
     except KeyError as e:
         raise FormatError(f"unknown role code {e.args[0]!r}") from None
 

@@ -6,9 +6,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from math import inf
-from threading import Lock
 from typing import Optional, Sequence
 
 from .geom import (_BAD, Point, _sign, int_coords, int_cross, int_on_segment,
@@ -258,36 +257,22 @@ class _Masks(dict):
         return v
 
 
-# The masks of a search whose vertices all share one candidate list stay
-# here for later searches on the same list, keyed by its integer points in
-# order, least recently used first, with its square symmetries and the
-# root domain they leave.  Each search ends by evicting until both bounds
-# hold; the lock keeps searches in other threads from seeing the memo
-# half updated.
+def _table(pts, lists=None) -> tuple:
+    """A new table for a search on the point table pts, whose candidate
+    lists are `lists` (by default the one list pts): its masks, none filled
+    yet, the bits of the points first in their orbit under the square
+    symmetries (_square_symmetries), and the count of those symmetries."""
+    syms = _square_symmetries(lists or [pts])
+    return _Masks(pts), _first_in_orbits(pts, syms), len(syms)
+
+
+# The tables of searches whose vertices all share one candidate list,
+# keyed by its integer points in order, for later searches on that list.
+# Every table keeps a newly filled mask only while it holds fewer than
+# _MEMO_MASKS, so the memo retains at most _MEMO_LISTS * _MEMO_MASKS.
 _MEMO_LISTS = 4        # candidate lists kept
-_MEMO_MASKS = 16_384   # masks kept over all of them, and added by one search
-_memo: dict = {}
-_memo_lock = Lock()
-
-
-def _shared(pts) -> tuple:
-    """The memo entry of the point table pts, one list that every vertex
-    shares: (masks, root domain, symmetry count), made on first use."""
-    key = tuple(pts)
-    with _memo_lock:
-        entry = _memo.pop(key, None)
-        if entry is None:
-            syms = _square_symmetries([key])
-            entry = (_Masks(key), _first_in_orbits(key, syms), len(syms))
-        _memo[key] = entry
-    return entry
-
-
-def _evict() -> None:
-    with _memo_lock:
-        while (len(_memo) > _MEMO_LISTS
-               or sum(len(e[0]) for e in _memo.values()) > _MEMO_MASKS):
-            del _memo[next(iter(_memo))]
+_MEMO_MASKS = 16_384   # masks kept by one table
+_shared = lru_cache(maxsize=_MEMO_LISTS)(_table)
 
 
 def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
@@ -321,11 +306,13 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     neighbour's list skip the placed edges and points when the bounding
     box of the placed points misses that of the segments, so a chain of
     level rows costs a linear number of predicate calls.
-    When every vertex shares one list, its masks, symmetries and root
-    domain come from a memo of at most _MEMO_LISTS lists and _MEMO_MASKS
-    masks, and later searches on that list reuse them.  A search adds at
-    most _MEMO_MASKS masks; past that it fills new ones without keeping
-    them.
+    The masks, the symmetry count and the root's orbit bits form the
+    search's table (_table).  When every vertex shares one list, the
+    table comes from an lru_cache over the last _MEMO_LISTS such lists
+    (_shared), and later searches on that list reuse its masks; racing
+    threads may build one table twice, which changes no answer.  A table
+    keeps a newly filled mask only while it holds fewer than _MEMO_MASKS;
+    past that, masks are filled without being kept.
 
     Two cuts, each sound for every caller: order[0] takes only the first
     point of its list in each orbit of the square symmetries that map
@@ -348,7 +335,7 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     if not all(lists):  # a vertex without a candidate: no placement
         return SearchResult(none)
     given = [p for c in lists for p in c]
-    pts = int_coords(given)  # the point table
+    pts = tuple(int_coords(given))  # the point table
     own, lo = {}, 0  # each list's integer points, bits in the table and box
     for c in lists:
         ic = pts[lo:lo + len(c)]
@@ -356,13 +343,10 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
         lo += len(c)
     _, full, box = zip(*(own[id(c)] for c in cand))
     root = order[0]
-    if len(lists) == 1:
-        masks, first, nsyms = _shared(pts)
-    else:
-        masks = _Masks(pts)
-        syms = _square_symmetries([ic for ic, _, _ in own.values()])
-        first, nsyms = _first_in_orbits(pts, syms) & full[root], len(syms)
-    m = len(pts)
+    masks, first, nsyms = (_shared(pts) if len(lists) == 1 else
+                           _table(pts, [ic for ic, _, _ in own.values()]))
+    first &= full[root]
+    m, cap = len(pts), _MEMO_MASKS
     meta = {"square_symmetries": nsyms, "sibling_cuts": len(after)}
     adj: list[list] = [[] for _ in range(n)]  # (graph, neighbour) pairs
     for g, es in enumerate(graphs):
@@ -380,13 +364,12 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     dom = list(full)
     dom[root] = first
     nodes = looks = fills = 0
-    room = _MEMO_MASKS  # masks this search may still add
     get = masks.get
 
     def prune(k, p):
         # place v = order[k] at point id p; return the new edges, or None
         # (and undo the placement) when some domain empties
-        nonlocal looks, fills, room
+        nonlocal looks, fills
         v = order[k]
         pos[v] = p
         placed.append(p)
@@ -435,8 +418,7 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
                 if need:
                     fills += 1
                     val = masks.fill(key, got, need)
-                    if got or room:
-                        room -= not got
+                    if got or len(masks) < cap:
                         masks[key] = val
                     got = val
                 live &= ~got
@@ -462,9 +444,8 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
         pos[v] = None
 
     def done(status, d=None):
-        # the answer, with the mask counts; the memo is trimmed to its bounds
+        # the answer, with the mask counts
         meta.update(masks_filled=fills, masks_reused=looks - fills)
-        _evict()
         return SearchResult(status, d, min(nodes, budget), metadata=meta)
 
     # depth-first over k = len(steps), order[:k] placed: rest[k] holds the

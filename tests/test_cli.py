@@ -702,7 +702,7 @@ class TestSearchStats:
         slt, rslt = tmp_path / "l.slt", tmp_path / "r.slt"
         slt.write_text(dump_level_tree(lt))
         rslt.write_text(dump_level_tree(lt, RegionSystem.horizontal([0, 1])))
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         for argv in (["search", sge, "--grid", "3"],
                      ["level-search", str(slt), "--method", "grid"],
                      ["level-search", str(rslt), "--grid", "3"]):

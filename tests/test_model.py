@@ -226,6 +226,15 @@ class TestSerialization:
         back = load_instance(f"sge 1 {n}\ntree {tree}\npath {path} \n")
         assert back == inst
 
+    def test_role_codes_split_on_any_whitespace(self):
+        # the roles record, like tree and path, may separate its codes
+        # by tabs, by spaces or not at all
+        spaced = load_instance("sge 1 3\ntree - 0 0\npath 1 0 2\nroles R J J\n")
+        tabbed = load_instance("sge 1 3\ntree\t-\t0\t0\npath\t1\t0\t2\nroles\tR\tJ\tJ\n")
+        packed = load_instance("sge 1 3\ntree - 0 0\npath 1 0 2\nroles RJJ\n")
+        assert tabbed == spaced == packed
+        assert tabbed.tree.labels == (Role.Root, Role.Joint, Role.Joint)
+
     def test_comments_ignored(self):
         text = "# a comment\nsge 1 2\ntree - 0\n# another\npath 0 1\n"
         inst = load_instance(text)

@@ -211,7 +211,7 @@ class TestAgainstReference:
         cases = _cases(seed=18, count=2000)
         got = []
         for _, run in cases:
-            planarity._memo.clear()
+            planarity._shared.cache_clear()
             cold = run()
             got.append((_answer(cold), _answer(run())))
         monkeypatch.setattr(planarity, "_place", reference_place)
@@ -231,7 +231,7 @@ class TestAgainstReference:
         inst = Instance(RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3, 1, 2, 3]),
                         PathGraph.of([9, 4, 8, 3, 7, 2, 6, 1, 5, 0]))
         grid = [Point(x, y) for x in range(4) for y in range(4)]
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         cold = search_embedding(inst, grid)
         warm = search_embedding(inst, grid)
         assert cold.nodes == warm.nodes == 254
@@ -246,13 +246,13 @@ class TestRecheck:
         # the centre to another leaf; the closing sweep must catch it
         inst = Instance(RootedTree.from_parent([None, 0, 0, 0]), PathGraph.of([1, 0, 2, 3]))
         grid = [Point(x, y) for x in range(3) for y in range(3)]
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         monkeypatch.setattr(_Masks, "fill", lambda self, key, v, need: v | need << self.m)
         try:
             with pytest.raises(AssertionError):
                 search_embedding(inst, grid)
         finally:
-            planarity._memo.clear()
+            planarity._shared.cache_clear()
 
 
 def _grids():
@@ -310,7 +310,7 @@ class TestMaskMemo:
     def test_bounded_over_many_grids(self):
         inst = Instance(RootedTree.from_parent([None, 0, 0, 1, 1]),
                         PathGraph.of([3, 1, 4, 0, 2]))
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -320,8 +320,13 @@ class TestMaskMemo:
             size = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert len(planarity._memo) <= planarity._MEMO_LISTS
-        assert sum(len(e[0]) for e in planarity._memo.values()) <= planarity._MEMO_MASKS
+        assert planarity._shared.cache_info().currsize <= planarity._MEMO_LISTS
+        # the last grids' tables come back from the memo (a new one is
+        # empty), each within the cap
+        for k in range(50 - planarity._MEMO_LISTS, 50):
+            grid = [Point(x + k, y) for x in range(4) for y in range(4)]
+            table = planarity._shared(tuple(int_coords(grid)))[0]
+            assert 0 < len(table) <= planarity._MEMO_MASKS
         assert size < 2 * 2 ** 20
 
     def test_a_search_keeps_at_most_the_cap(self, monkeypatch):
@@ -331,12 +336,12 @@ class TestMaskMemo:
         inst = Instance(RootedTree.from_parent([None, 0, 0, 1, 0, 3, 3, 3, 6, 3, 1, 7]),
                         PathGraph.of([9, 3, 4, 8, 1, 5, 2, 7, 11, 10, 6, 0]))
         grid = [Point(x, y) for x in range(10) for y in range(10)]
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         expect = _answer(search_embedding(inst, grid, budget=2000))
         cap = 500
         monkeypatch.setattr(planarity, "_MEMO_MASKS", cap)
         for budget in (1000, 2000):
-            planarity._memo.clear()
+            planarity._shared.cache_clear()
             tracemalloc.start()
             try:
                 res = search_embedding(inst, grid, budget=budget)
@@ -344,12 +349,35 @@ class TestMaskMemo:
             finally:
                 tracemalloc.stop()
             assert res.metadata["masks_filled"] > 2 * cap
-            (table, _, _), = planarity._memo.values()
+            assert planarity._shared.cache_info().currsize == 1
+            table = planarity._shared(tuple(int_coords(grid)))[0]
             assert len(table) == cap
             # 83 KB on Python 3.11 at either budget; 244 KB with the
             # default cap at budget 2,000
             assert peak < 120 * 2 ** 10
         assert _answer(res) == expect
+
+    def test_the_cap_holds_across_searches(self, monkeypatch):
+        # the cap bounds each memo table, not each search: a later search
+        # on the same grid reuses the kept masks and keeps no new ones
+        inst = Instance(RootedTree.from_parent([None, 0, 0, 1, 0, 3, 3, 3, 6, 3, 1, 7]),
+                        PathGraph.of([9, 3, 4, 8, 1, 5, 2, 7, 11, 10, 6, 0]))
+        grid = [Point(x, y) for x in range(10) for y in range(10)]
+        budgets = (1000, 2000)
+        expect = []
+        for budget in budgets:
+            planarity._shared.cache_clear()
+            expect.append(_answer(search_embedding(inst, grid, budget=budget)))
+        cap = 500
+        monkeypatch.setattr(planarity, "_MEMO_MASKS", cap)
+        planarity._shared.cache_clear()
+        key = tuple(int_coords(grid))
+        for budget, want in zip(budgets, expect):
+            res = search_embedding(inst, grid, budget=budget)
+            assert len(planarity._shared(key)[0]) == cap
+            assert _answer(res) == want
+        assert planarity._shared.cache_info().currsize == 1
+        assert res.metadata["masks_reused"] > 0 and res.metadata["masks_filled"] > cap
 
 
 class TestMemoThreads:
@@ -360,7 +388,7 @@ class TestMemoThreads:
                         PathGraph.of([3, 1, 4, 0, 2]))
         grids = [[Point(x + k, y) for x in range(3 + k % 2) for y in range(4)]
                  for k in range(6)]
-        planarity._memo.clear()
+        planarity._shared.cache_clear()
         def answer(res):
             # every search counts its own mask lookups and fills
             meta = res.metadata
@@ -391,7 +419,7 @@ class TestMemoThreads:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(got) == 40 and all(a == expect[k] for k, a in got)
-        assert len(planarity._memo) <= planarity._MEMO_LISTS
+        assert planarity._shared.cache_info().currsize <= planarity._MEMO_LISTS
 
 
 def _chain(n: int) -> LevelTree:
