@@ -24,6 +24,7 @@ from .geom import (
     _BAD,
     _features,
     _sign,
+    DegenerateTriangle,
     Point,
     Position,
     Relation,
@@ -113,13 +114,18 @@ def _relations(a, b, polyline) -> list[Relation]:
     return [int_relation(a, b, p, q) for p, q in zip(polyline, polyline[1:])]
 
 
-def _check_plan(i: Instance, d: Drawing, plan) -> None:
+def _check_plan(i: Instance, d: Drawing, plan) -> list[list[int]]:
+    """Each cell's path order, once every vertex it and its joint name
+    is checked to be a drawn vertex of the tree."""
+    orders = []
     for idx, cell in enumerate(plan.cells):
-        for v in cell.path_order() + [cell.joint]:
+        orders.append(cell.path_order())
+        for v in orders[-1] + [cell.joint]:
             if not (0 <= v < i.tree.n):
                 raise PlanMismatch(f"cell {idx} names vertex {v} outside the tree")
             if v not in d.pos:
                 raise PlanMismatch(f"cell {idx} vertex {v} is not drawn")
+    return orders
 
 
 def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
@@ -132,35 +138,27 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     number of times, while segments inside one cell cross it evenly.
     Degenerate contacts disqualify the candidate polyline.
     """
-    _check_plan(i, d, plan)
+    orders = _check_plan(i, d, plan)
     ic = _Ints(d)
+    pts = [[ic[v] for v in vs] for vs in orders]
+    polylines = [tuple(d.point(v) for v in vs) for vs in orders]
+    joint = [cell.joint for cell in plan.cells]
     tree_edges = i.tree.edges()
     out = []
-    for a in range(len(plan.cells)):
-        for b in range(a + 1, len(plan.cells)):
-            ca, cb = plan.cells[a], plan.cells[b]
-            if ca.joint != cb.joint:
+    for a, b in combinations(range(len(orders)), 2):
+        if joint[a] != joint[b] or int_separable(pts[a], pts[b]):
+            continue
+        for s, poly in enumerate(pts):
+            if (joint[s] == joint[a] or len(poly) < 3
+                    or not _separates(pts[a], pts[b], poly)):
                 continue
-            va, vb = ca.path_order(), cb.path_order()
-            pa = [ic[v] for v in va]
-            pb = [ic[v] for v in vb]
-            if int_separable(pa, pb):
-                continue
-            for s, cs in enumerate(plan.cells):
-                if cs.joint == ca.joint:
-                    continue
-                vs = cs.path_order()
-                poly = [ic[v] for v in vs]
-                if len(poly) < 3 or not _separates(pa, pb, poly):
-                    continue
-                crossed = _crossed_polyline_edges(
-                    tree_edges, set(va), set(vb), ic, poly)
-                out.append(Passage(
-                    c1=a, c2=b, c_sep=s, joint=ca.joint, sep_joint=cs.joint,
-                    c1_vertices=tuple(va), c2_vertices=tuple(vb),
-                    sep_vertices=tuple(vs),
-                    polyline=tuple(d.point(v) for v in vs),
-                    crossed_sep_edges=crossed))
+            crossed = _crossed_polyline_edges(
+                tree_edges, set(orders[a]), set(orders[b]), ic, poly)
+            out.append(Passage(
+                c1=a, c2=b, c_sep=s, joint=joint[a], sep_joint=joint[s],
+                c1_vertices=tuple(orders[a]), c2_vertices=tuple(orders[b]),
+                sep_vertices=tuple(orders[s]), polyline=polylines[s],
+                crossed_sep_edges=crossed))
     return out
 
 
@@ -289,36 +287,55 @@ class Channel:
     root: Point = None
 
 
-def _root_leaf_paths(i: Instance, joint: int) -> list[tuple]:
-    """The paths from the root through joint to each leaf below it."""
-    paths, stack = [], [(i.tree.root, joint)]
-    while stack:
-        path = stack.pop()
-        kids = i.tree.children(path[-1])
-        if kids:
-            stack.extend(path + (c,) for c in kids)
-        else:
-            paths.append(path)
-    return sorted(paths)
-
-
-def _encloses(ic: _Ints, path: tuple, k: int, q) -> bool:
-    tri = (ic[path[k - 1]], ic[path[k]], ic[path[k + 1]])
-    if int_cross(*tri) == 0:
+def _encloses(ic: _Ints, path: tuple, c: int, q: int) -> bool:
+    """Whether the bend at the end of path, continued to its child c,
+    strictly encloses the vertex q."""
+    tri = (ic[path[-2]], ic[path[-1]], ic[c])
+    try:
+        return int_point_in_triangle(ic[q], tri) is Position.Inside
+    except DegenerateTriangle:  # a straight bend encloses nothing
         return False
-    return int_point_in_triangle(q, tri) is Position.Inside
 
 
-def _mutual_prefix(ic: _Ints, pa: tuple, pb: tuple) -> int:
-    """Length of the initial run of bend indices at which one path's bend
-    strictly encloses the other's."""
-    x = 0
-    for k in range(1, min(len(pa), len(pb)) - 1):
-        if _encloses(ic, pa, k, ic[pb[k]]) or _encloses(ic, pb, k, ic[pa[k]]):
-            x += 1
-        else:
-            break
-    return x
+def _least_leaf_path(kids, path: tuple) -> tuple:
+    """The lexicographically least root-leaf path that extends path: the
+    least child at every step."""
+    while kids[path[-1]]:
+        path += (min(kids[path[-1]]),)
+    return path
+
+
+def _deepest_pair(i: Instance, ic: _Ints, a: int, b: int) -> tuple:
+    """(x, pa, pb) for the channel between joints a and b; see
+    compute_channels."""
+    kids, root = i.tree._kids, i.tree.root
+    pairs = [((root, a), (root, b))]
+    best = (0, _least_leaf_path(kids, pairs[0][0]),
+            _least_leaf_path(kids, pairs[0][1]))
+    k = 0
+    while pairs:
+        k += 1
+        deeper, least = [], []
+        for pa, pb in pairs:
+            ka, kb = kids[pa[-1]], kids[pb[-1]]
+            if not (ka and kb):
+                continue
+            # one side's bend encloses the other side's bendpoint: decided
+            # per child, since the other side's bendpoint is fixed
+            sa = {c for c in ka if _encloses(ic, pa, c, pb[-1])}
+            sb = {c for c in kb if _encloses(ic, pb, c, pa[-1])}
+            if sa:
+                least.append((_least_leaf_path(kids, pa + (min(sa),)),
+                              _least_leaf_path(kids, pb + (min(kb),))))
+            if sb:
+                least.append((_least_leaf_path(kids, pa + (min(ka),)),
+                              _least_leaf_path(kids, pb + (min(sb),))))
+            deeper += [(pa + (c,), pb + (e,)) for c in ka if kids[c]
+                       for e in kb if kids[e] and (c in sa or e in sb)]
+        if least:
+            best = (k, *min(least))
+        pairs = deeper
+    return best
 
 
 def _build_segments(d: Drawing, pa: tuple, pb: tuple, x: int):
@@ -349,17 +366,29 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     its two neighbours with the longest initial run of mutually enclosing
     bendpoints (x), cut into x+1 explicit segment regions.  Ties go to
     the lexicographically least path pair.
+
+    Bend k of a path pair passes when the triangle of one path's
+    vertices k-1, k, k+1 strictly contains the other path's vertex k.
+    The pair's x counts the passing bends from bend 1 on, so it depends
+    only on prefixes: the walk keeps the prefix pairs, k+2 vertices
+    each, whose bends 1..k all pass.  Each side's test at bend k fixes
+    the other side's vertex k, so it is made once per child of a
+    prefix's last vertex, not once per pair of children; only pairs of
+    non-leaf prefixes go one bend deeper.  x is the deepest bend that
+    some prefix pair passes, and the path pairs with that x are exactly
+    the leaf-path pairs extending the prefix pairs that pass it.  Their
+    least pair is the least (least leaf path through the first prefix,
+    least leaf path through the second) over those prefix pairs, and
+    over the pairs of root-joint prefixes when no bend 1 passes: the
+    pair that the least (-x, pa, pb) over all root-leaf path pairs
+    names.
     """
     if len(joints) < 3:
         raise TooFewJoints("channels need at least three joints")
     ic = _Ints(d)
     out = []
     for idx in range(1, len(joints) - 1):
-        right = _root_leaf_paths(i, joints[idx + 1])
-        negx, pa, pb = min((-_mutual_prefix(ic, pa, pb), pa, pb)
-                           for pa in _root_leaf_paths(i, joints[idx - 1])
-                           for pb in right)
-        x = -negx
+        x, pa, pb = _deepest_pair(i, ic, joints[idx - 1], joints[idx + 1])
         gates, segs = _build_segments(d, pa, pb, x)
         out.append(Channel(joints[idx], pa, pb, x, gates, segs,
                            d.point(i.tree.root)))
@@ -372,13 +401,32 @@ def _channel_points(ch: Channel) -> list:
                         for p in s.vertices + sum(s.rays or (), ())]
 
 
+@dataclass(frozen=True)
+class _Region:
+    """A channel segment on integer points, with its boundary edges and,
+    when bounded, its bounding box (least x, greatest x, least y,
+    greatest y) built once."""
+    index: int
+    vertices: tuple
+    rays: Optional[tuple]
+    edges: list
+    box: Optional[tuple]
+
+
+def _region(s: ChannelSegment, of: dict) -> _Region:
+    vs = tuple(of[p] for p in s.vertices)
+    if s.rays:
+        return _Region(s.index, vs, tuple((of[o], of[v]) for o, v in s.rays),
+                       _features(vs), None)
+    xs, ys = [p[0] for p in vs], [p[1] for p in vs]
+    return _Region(s.index, vs, None, _features(vs),
+                   (min(xs), max(xs), min(ys), max(ys)))
+
+
 def _on_ints(ch: Channel, of: dict):
-    """ch's root and segments on integer points: every point, ray
+    """ch's root and segment regions on integer points: every point, ray
     directions included, mapped through `of`."""
-    return of[ch.root], [
-        ChannelSegment(s.index, tuple(of[p] for p in s.vertices),
-                       s.rays and tuple((of[o], of[v]) for o, v in s.rays))
-        for s in ch.segments]
+    return of[ch.root], [_region(s, of) for s in ch.segments]
 
 
 def _sub(p, q):
@@ -393,23 +441,26 @@ def _side(anchor, direction, q) -> int:
     return _cross(direction, _sub(q, anchor))
 
 
-def _in_polygon(q, poly: tuple) -> bool:
-    """Strict even-odd membership; boundary points count as outside."""
-    edges = _features(poly)
-    if any(int_on_segment(q, p, r) for p, r in edges):
+def _in_polygon(q, seg: _Region) -> bool:
+    """Strict even-odd membership in a bounded region; boundary points
+    count as outside.  A point strictly inside lies strictly inside the
+    bounding box, and the crossing count decides before the boundary
+    test, which only turns an odd count into outside."""
+    x0, x1, y0, y1 = seg.box
+    if not (x0 < q[0] < x1 and y0 < q[1] < y1):
         return False
     inside = False
-    for p, r in edges:
+    for p, r in seg.edges:
         if (p[1] > q[1]) != (r[1] > q[1]):
             c = int_cross(p, r, q)  # q lies left of the edge's crossing
             inside ^= c != 0 and (c > 0) == (r[1] > p[1])
-    return inside
+    return inside and not any(int_on_segment(q, p, r) for p, r in seg.edges)
 
 
-def _contains(root, seg: ChannelSegment, q) -> bool:
+def _contains(root, seg: _Region, q) -> bool:
     """Strict membership of a point in a channel segment region."""
     if seg.rays is None:
-        return _in_polygon(q, seg.vertices)
+        return _in_polygon(q, seg)
     (oa, da), (ob, db) = seg.rays
     if len(seg.vertices) == 1:  # bend-free channel: the root wedge
         sa = _side(oa, da, (ob[0] + db[0], ob[1] + db[1]))
@@ -433,7 +484,7 @@ def segment_of(ch: Channel, q: Point) -> Optional[int]:
     return _segment_of(*_on_ints(ch, of), of[q])
 
 
-def _line_hits_segment_region(a, b, seg: ChannelSegment) -> bool:
+def _line_hits_segment_region(a, b, seg: _Region) -> bool:
     """Does the full line through a, b meet the (convex) region?"""
     signs = {_sign(int_cross(a, b, q)) for q in seg.vertices}
     for origin, direction in (seg.rays or ()):
@@ -466,17 +517,17 @@ def _ray_ray_hit(o1, d1, o2, d2) -> bool:
     return t * den >= 0 and s * den >= 0
 
 
-def _segment_hits_region(root, a, b, seg: ChannelSegment) -> bool:
+def _segment_hits_region(root, a, b, seg: _Region) -> bool:
     return (_contains(root, seg, a) or _contains(root, seg, b)
             or any(int_relation(a, b, *s) is Relation.ProperCrossing
-                   for s in _features(seg.vertices))
+                   for s in seg.edges)
             or any(_ray_segment_hit(o, v, a, b) for o, v in seg.rays or ()))
 
 
-def _ray_hits_region(root, origin, direction, seg: ChannelSegment) -> bool:
+def _ray_hits_region(root, origin, direction, seg: _Region) -> bool:
     return (_contains(root, seg, origin)
             or any(_ray_segment_hit(origin, direction, *s)
-                   for s in _features(seg.vertices))
+                   for s in seg.edges)
             or any(_ray_ray_hit(origin, direction, o, v) for o, v in seg.rays or ()))
 
 
@@ -528,6 +579,13 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
     """
     ic = _Ints(d, [p for ch in channels for p in _channel_points(ch)])
     regions = [_on_ints(ch, ic.of) for ch in channels]
+    # per channel: the segment holding each drawn vertex, the two bounding
+    # paths and the gates on integer points
+    where = [{v: _segment_of(root, segs, q) for v, q in ic.items()}
+             for root, segs in regions]
+    walls = [[[ic[w] for w in path] for path in (ch.path_a, ch.path_b)]
+             for ch in channels]
+    gates = [[[ic.of[g] for g in gate] for gate in ch.gates] for ch in channels]
     events = []
     doubles = []
     owner = _vertex_to_ef(plan)
@@ -536,25 +594,24 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
             continue
         a, b = ic[u], ic[v]
         homes = []
-        for ch, (root, segs) in zip(channels, regions):
-            su, sv = _segment_of(root, segs, a), _segment_of(root, segs, b)
+        for ch, at in zip(channels, where):
+            su, sv = at[u], at[v]
             if su is not None and sv is not None and abs(su - sv) == 1:
                 homes.append((ch, tuple(sorted((su, sv)))))
         for ch, span in homes:
-            for other in channels:
+            for other, polys in zip(channels, walls):
                 if other.joint == ch.joint:
                     continue
-                rels = [rel for path in (other.path_a, other.path_b)
-                        for rel in _relations(a, b, [ic[w] for w in path])]
+                rels = [rel for poly in polys for rel in _relations(a, b, poly)]
                 if rels.count(Relation.ProperCrossing) >= 2:
                     events.append(CutEvent(CutKind.BlockingCut, (u, v),
                                            other.joint, span))
-        for ch, (root, segs) in zip(channels, regions):
+        for ch, (root, segs), (wa, wb), gs in zip(channels, regions, walls, gates):
             for h in range(1, len(segs)):
                 # the two walls bounding segment h
-                if all(int_relation(a, b, ic[p[h - 1]], ic[p[h]])
-                       is not Relation.ProperCrossing
-                       for p in (ch.path_a, ch.path_b)):
+                if (int_relation(a, b, wa[h - 1], wa[h]) is not Relation.ProperCrossing
+                        and int_relation(a, b, wb[h - 1], wb[h])
+                        is not Relation.ProperCrossing):
                     continue
                 nxt = segs[h]
                 if not _line_hits_segment_region(a, b, nxt):
@@ -562,7 +619,7 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                 simple = not _segment_hits_region(root, a, b, nxt)
                 kind = CutKind.DoubleCutSimple if simple \
                     else CutKind.DoubleCutNonSimple
-                dist = _gap([ic.of[g] for g in ch.gates[h - 1]], a, b)
+                dist = _gap(gs[h - 1], a, b)
                 group = (ch.joint, h, owner.get(u, owner.get(v)))
                 doubles.append((group, dist, CutEvent(kind, (u, v),
                                                       ch.joint, (h, h + 1))))

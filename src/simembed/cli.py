@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from math import lcm
 
 from .analyzer import (
     classify_connections,
@@ -47,7 +48,7 @@ from .model import (
 )
 from .planarity import (DEFAULT_BUDGET, SearchResult, check_simultaneous,
                         check_vertex_set, search_embedding)
-from .geom import Point
+from .geom import Point, int_coords
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
@@ -58,25 +59,31 @@ CHECK_WITNESSES = 20  # violations listed per graph by check --format records
 
 # --- SVG rendering --------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.4f}"
+def _fmt(num: int, scale: int) -> str:
+    """num / scale to 4 decimal places.  Integer true division rounds
+    correctly, so the float is float(Fraction(num, scale))."""
+    return f"{num / scale:.4f}"
 
 
 def render_svg(i, d) -> str:
     check_vertex_set(i, d)
     pts = [d.pos[v] for v in range(i.tree.n)]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    pad = 10
+    # on the integer points of one int_coords pass; scale is the common
+    # denominator that pass clears
+    ints = int_coords(pts)
+    scale = lcm(*(q.denominator for p in pts for q in (p.x, p.y)))
+    xs = [p[0] for p in ints]
+    ys = [p[1] for p in ints]
+    pad = 10 * scale
     x0, y1 = min(xs) - pad, max(ys) + pad
     w = max(xs) - min(xs) + 2 * pad
     h = max(ys) - min(ys) + 2 * pad
     # each vertex formatted once, the y axis flipped: SVG grows downward
-    at = [(_fmt(p.x - x0), _fmt(y1 - p.y)) for p in pts]
+    at = [(_fmt(x - x0, scale), _fmt(y1 - y, scale)) for x, y in ints]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
+        f'viewBox="0 0 {_fmt(w, scale)} {_fmt(h, scale)}">',
     ]
     # tree edges grey, beneath the black path edges
     for stroke, edges in (('"#9e9e9e" stroke-width="2.5"', i.tree.edges()),

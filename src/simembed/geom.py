@@ -20,7 +20,10 @@ ScalarLike = Union[Fraction, int, str]
 
 
 def scalar(value: ScalarLike) -> Fraction:
-    """Coerce to an exact rational. Floats are rejected on purpose."""
+    """Coerce to an exact rational, returning a Fraction as it is. Floats
+    are rejected on purpose."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point is not allowed in exact geometry")
     return Fraction(value)
@@ -130,10 +133,9 @@ _BAD = (Relation.ProperCrossing, Relation.Touching, Relation.Overlapping)
 
 def int_coords(points: Iterable[Point]) -> list[IntPoint]:
     """The points scaled by the lcm of all their denominators."""
-    points = list(points)
-    scale = lcm(*(q.denominator for p in points for q in (p.x, p.y)))
-    return [(p.x.numerator * (scale // p.x.denominator),
-             p.y.numerator * (scale // p.y.denominator)) for p in points]
+    ratios = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
+    scale = lcm(*(d for r in ratios for _, d in r))
+    return [(x * (scale // dx), y * (scale // dy)) for (x, dx), (y, dy) in ratios]
 
 
 def _sign(v) -> int:

@@ -133,7 +133,10 @@ class Drawing:
     pos: dict  # VertexId -> Point
 
     def __post_init__(self):
-        if len(set(self.pos.values())) != len(self.pos):
+        # points told apart by their coordinates' integer ratios, which
+        # hash faster than the Fractions
+        if len({(p.x.as_integer_ratio(), p.y.as_integer_ratio())
+                for p in self.pos.values()}) != len(self.pos):
             raise FormatError("drawing is not injective")
 
     def point(self, v: VertexId) -> Point:
@@ -262,18 +265,21 @@ def _records(text: str, header: str, parsers: dict, required: tuple,
     return fields, [values.get(tag) for tag in parsers]
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rationals(tag: str, rest: str, form: str) -> list[Fraction]:
     """The exact rationals after `tag` in a row of the form `form`, each
-    written -?digits(/digits)?, as the dump functions write them."""
+    written -?digits(/digits)?, as the dump functions write them, and
+    each built from its integers by one Fraction call."""
     toks = rest.split()
-    if len(toks) != form.count(" ") or not all(map(_RATIONAL.fullmatch, toks)):
+    found = list(map(_RATIONAL.fullmatch, toks))
+    if len(toks) != form.count(" ") or not all(found):
         raise FormatError(f"expected '{form}' with each number -?digits(/digits)?,"
                           f" got {tag + ' ' + rest!r}")
     try:
-        return list(map(Fraction, toks))
+        return [Fraction(int(num), int(den)) if den else Fraction(int(num))
+                for num, den in (f.groups() for f in found)]
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {tag + ' ' + rest!r}") from None
 

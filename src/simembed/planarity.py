@@ -4,6 +4,7 @@ simultaneous-embedding search oracle."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cmp_to_key, lru_cache, reduce
@@ -321,7 +322,8 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     it in the same list.
 
     Returns the SearchResult, with statuses from the enum of `none`, the
-    caller's negative answer, which an empty list gets at once with 0
+    caller's negative answer, which a list with fewer points than the
+    vertices that take it (an empty list among them) gets at once with 0
     nodes.  Found carries the drawing on the given points, re-checked on
     the integer points by the sweep of check_drawing (_plane) on every
     graph.  Once `budget` nodes are spent the answer is BudgetExceeded
@@ -332,7 +334,8 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     n = len(order)
     after = after or {}
     lists = list({id(c): c for c in cand}.values())  # shared lists stay shared
-    if not all(lists):  # a vertex without a candidate: no placement
+    takers = Counter(map(id, cand))
+    if any(len(c) < takers[id(c)] for c in lists):  # pigeonhole: no placement
         return SearchResult(none)
     given = [p for c in lists for p in c]
     pts = tuple(int_coords(given))  # the point table
@@ -496,7 +499,5 @@ def search_embedding(i: Instance, candidate_points: Sequence[Point],
     # keeps the lexicographic order
     pts = list(candidate_points)
     by_int = dict(zip(int_coords(pts), pts))
-    if len(by_int) < n:
-        return SearchResult(SearchStatus.ProvedNone)
     return _place(i.tree.preorder(), [[by_int[k] for k in sorted(by_int)]] * n,
                   [i.tree.edges(), i.path.edges()], budget, SearchStatus.ProvedNone)

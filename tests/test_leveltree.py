@@ -542,6 +542,17 @@ class TestRegionSearch:
             assert (res.status, res.nodes) == (RegionStatus.ExhaustedNoneOverGrid, 0)
             assert res.metadata["per_region_candidates"] == [9, 9, 9, 0]
 
+    def test_more_vertices_than_region_points_answers_at_once(self):
+        # five leaves on level 2 share the 4 points of region 2: by
+        # pigeonhole no placement, found with 0 nodes
+        lt = LevelTree.of(RootedTree.from_parent([None, 0, 0, 0, 0, 0]),
+                          [1, 2, 2, 2, 2, 2])
+        rs = RegionSystem.horizontal([0, 1])
+        grid = region_candidates(rs, per_axis=2, span=2)
+        assert [len(g) for g in grid] == [4, 4]
+        res = search_region_level_planar(lt, rs, grid)
+        assert (res.status, res.nodes) == (RegionStatus.ExhaustedNoneOverGrid, 0)
+
     def test_rejects_a_grid_without_one_list_per_region(self):
         lt = LevelTree.of(RootedTree.from_parent([None, 0, 1]), [1, 2, 3])
         rs = RegionSystem.horizontal([0, 1, 2])

@@ -12,6 +12,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +56,9 @@ def reference_place(order, cand, graphs, budget, none, after=None, icand=None):
     """The placement engine with per-point forward checking."""
     n = len(order)
     after = after or {}
+    takers = Counter(map(id, cand))
+    if any(len(c) < takers[id(c)] for c in cand):  # pigeonhole: no placement
+        return SearchResult(none)
     if icand is None:
         lists = {id(c): c for c in cand}
         flat = iter(int_coords(p for c in lists.values() for p in c))
