@@ -8,8 +8,10 @@ paths of neighbouring joints), cuts (path edges connecting or slicing
 channel segments), and connections between channel segments.
 
 Everything is exact; nothing here searches for drawings.  Each entry
-point clears the denominators of the whole drawing at once and runs every
-sign test on integer points; Points appear only in the objects returned.
+point clears the drawing's denominators once: it runs every sign test on
+`Drawing.ints`, built with the drawing, and rebuilds channel regions from
+their vertex ids there.  Points appear only in the objects returned;
+`segment_of`, which takes a Point, clears its own points' denominators.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .geom import (
     int_relation,
     int_separable,
 )
-from .model import Drawing, FormatError, Instance
+from .model import Drawing, Instance
 
 
 class AnalyzerError(ValueError):
@@ -77,20 +79,6 @@ class ConnectionKind(Enum):
     OneSide = "1-side"
     TwoSideLow = "2-side-low"
     TwoSideHigh = "2-side-high"
-
-
-class _Ints(dict):
-    """Vertex -> integer point for all of d, and Point -> integer point
-    (`of`) for the `extra` points, from one int_coords call."""
-
-    def __init__(self, d: Drawing, extra=()):
-        pts = [*d.pos.values(), *extra]
-        ints = int_coords(pts)
-        super().__init__(zip(d.pos, ints))
-        self.of = dict(zip(pts[len(d.pos):], ints[len(d.pos):]))
-
-    def __missing__(self, v):
-        raise FormatError(f"vertex {v} is not drawn")
 
 
 # --- passages -------------------------------------------------------------
@@ -139,7 +127,7 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     Degenerate contacts disqualify the candidate polyline.
     """
     orders = _check_plan(i, d, plan)
-    ic = _Ints(d)
+    ic = d.ints
     pts = [[ic[v] for v in vs] for vs in orders]
     polylines = [tuple(d.point(v) for v in vs) for vs in orders]
     joint = [cell.joint for cell in plan.cells]
@@ -219,7 +207,7 @@ def enumerate_doors(p: Passage, i: Instance, d: Drawing) -> list[Door]:
     smaller tree distance from the separating joint.  The door is closed
     when a tree edge at the apex crosses the base segment.
     """
-    ic = _Ints(d)
+    ic = d.ints
     hull = int_convex_hull([ic[v] for v in p.c1_vertices + p.c2_vertices])
     dist = {v: _tree_distance(i, v, p.sep_joint) for v in p.sep_vertices}
     others = set(p.c1_vertices) | set(p.c2_vertices)
@@ -287,7 +275,7 @@ class Channel:
     root: Point = None
 
 
-def _encloses(ic: _Ints, path: tuple, c: int, q: int) -> bool:
+def _encloses(ic: dict, path: tuple, c: int, q: int) -> bool:
     """Whether the bend at the end of path, continued to its child c,
     strictly encloses the vertex q."""
     tri = (ic[path[-2]], ic[path[-1]], ic[c])
@@ -305,7 +293,7 @@ def _least_leaf_path(kids, path: tuple) -> tuple:
     return path
 
 
-def _deepest_pair(i: Instance, ic: _Ints, a: int, b: int) -> tuple:
+def _deepest_pair(i: Instance, ic: dict, a: int, b: int) -> tuple:
     """(x, pa, pb) for the channel between joints a and b; see
     compute_channels."""
     kids, root = i.tree._kids, i.tree.root
@@ -338,23 +326,24 @@ def _deepest_pair(i: Instance, ic: _Ints, a: int, b: int) -> tuple:
     return best
 
 
-def _build_segments(d: Drawing, pa: tuple, pb: tuple, x: int):
-    root = d.point(pa[0])
-    ga = [d.point(pa[k]) for k in range(1, x + 1)]
-    gb = [d.point(pb[k]) for k in range(1, x + 1)]
+def _build_segments(at, sub, pa: tuple, pb: tuple, x: int):
+    """The gates and segments of the channel (pa, pb, x), on the points
+    at(v) of its vertices, a ray direction being sub(p, q) = p - q."""
+    root = at(pa[0])
+    ga = [at(pa[k]) for k in range(1, x + 1)]
+    gb = [at(pb[k]) for k in range(1, x + 1)]
     gates = tuple(zip(ga, gb))
     segs = []
     if x == 0:
         segs.append(ChannelSegment(
-            1, (root,),
-            ((root, d.point(pa[1]) - root), (root, d.point(pb[1]) - root))))
+            1, (root,), ((root, sub(at(pa[1]), root)), (root, sub(at(pb[1]), root)))))
         return gates, tuple(segs)
     segs.append(ChannelSegment(1, (root, ga[0], gb[0])))
     for h in range(2, x + 1):
         segs.append(ChannelSegment(
             h, (ga[h - 2], ga[h - 1], gb[h - 1], gb[h - 2])))
-    da = d.point(pa[x + 1]) - ga[x - 1]
-    db = d.point(pb[x + 1]) - gb[x - 1]
+    da = sub(at(pa[x + 1]), ga[x - 1])
+    db = sub(at(pb[x + 1]), gb[x - 1])
     segs.append(ChannelSegment(
         x + 1, (ga[x - 1], gb[x - 1]),
         ((ga[x - 1], da), (gb[x - 1], db))))
@@ -385,20 +374,13 @@ def compute_channels(i: Instance, d: Drawing, joints: Sequence[int]) -> list[Cha
     """
     if len(joints) < 3:
         raise TooFewJoints("channels need at least three joints")
-    ic = _Ints(d)
     out = []
     for idx in range(1, len(joints) - 1):
-        x, pa, pb = _deepest_pair(i, ic, joints[idx - 1], joints[idx + 1])
-        gates, segs = _build_segments(d, pa, pb, x)
+        x, pa, pb = _deepest_pair(i, d.ints, joints[idx - 1], joints[idx + 1])
+        gates, segs = _build_segments(d.point, Point.__sub__, pa, pb, x)
         out.append(Channel(joints[idx], pa, pb, x, gates, segs,
                            d.point(i.tree.root)))
     return out
-
-
-def _channel_points(ch: Channel) -> list:
-    """ch's root and every point of its segments, ray directions included."""
-    return [ch.root] + [p for s in ch.segments
-                        for p in s.vertices + sum(s.rays or (), ())]
 
 
 @dataclass(frozen=True)
@@ -413,20 +395,21 @@ class _Region:
     box: Optional[tuple]
 
 
-def _region(s: ChannelSegment, of: dict) -> _Region:
-    vs = tuple(of[p] for p in s.vertices)
+def _region(s: ChannelSegment) -> _Region:
+    """s, a segment on integer points, as a _Region."""
+    vs = s.vertices
     if s.rays:
-        return _Region(s.index, vs, tuple((of[o], of[v]) for o, v in s.rays),
-                       _features(vs), None)
+        return _Region(s.index, vs, s.rays, _features(vs), None)
     xs, ys = [p[0] for p in vs], [p[1] for p in vs]
     return _Region(s.index, vs, None, _features(vs),
                    (min(xs), max(xs), min(ys), max(ys)))
 
 
-def _on_ints(ch: Channel, of: dict):
-    """ch's root and segment regions on integer points: every point, ray
-    directions included, mapped through `of`."""
-    return of[ch.root], [_region(s, of) for s in ch.segments]
+def _on_ints(ch: Channel, ints: dict):
+    """ch's root, gates and segment regions on the drawing's integer
+    points, built from ch's vertex ids as compute_channels builds them."""
+    gates, segs = _build_segments(ints.__getitem__, _sub, ch.path_a, ch.path_b, ch.x)
+    return ints[ch.path_a[0]], gates, [_region(s) for s in segs]
 
 
 def _sub(p, q):
@@ -478,10 +461,15 @@ def _segment_of(root, segs, q) -> Optional[int]:
 
 
 def segment_of(ch: Channel, q: Point) -> Optional[int]:
-    """The index of the segment of ch that strictly contains q, or None."""
-    pts = [q, *_channel_points(ch)]
-    of = dict(zip(pts, int_coords(pts)))
-    return _segment_of(*_on_ints(ch, of), of[q])
+    """The index of the segment of ch that strictly contains q, or None.
+    Like geom's Point predicates, it clears its own points' denominators."""
+    pts = [q, ch.root, *(p for s in ch.segments
+                         for p in s.vertices + sum(s.rays or (), ()))]
+    of = dict(zip(pts, int_coords(pts))).__getitem__
+    segs = [_region(ChannelSegment(s.index, tuple(map(of, s.vertices)),
+                                   s.rays and tuple(tuple(map(of, r)) for r in s.rays)))
+            for s in ch.segments]
+    return _segment_of(of(ch.root), segs, of(q))
 
 
 def _line_hits_segment_region(a, b, seg: _Region) -> bool:
@@ -577,21 +565,18 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
     double cut of the same group (same extended formation when a plan is
     given) lies closer to the bending area between the two segments.
     """
-    ic = _Ints(d, [p for ch in channels for p in _channel_points(ch)])
-    regions = [_on_ints(ch, ic.of) for ch in channels]
-    # per channel: the segment holding each drawn vertex, the two bounding
-    # paths and the gates on integer points
+    ic = d.ints
+    regions = [_on_ints(ch, ic) for ch in channels]
+    # per channel: the segment holding each drawn vertex and the two
+    # bounding paths on integer points
     where = [{v: _segment_of(root, segs, q) for v, q in ic.items()}
-             for root, segs in regions]
+             for root, _, segs in regions]
     walls = [[[ic[w] for w in path] for path in (ch.path_a, ch.path_b)]
              for ch in channels]
-    gates = [[[ic.of[g] for g in gate] for gate in ch.gates] for ch in channels]
     events = []
     doubles = []
     owner = _vertex_to_ef(plan)
     for u, v in i.path.edges():
-        if u not in d.pos or v not in d.pos:
-            continue
         a, b = ic[u], ic[v]
         homes = []
         for ch, at in zip(channels, where):
@@ -606,7 +591,7 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                 if rels.count(Relation.ProperCrossing) >= 2:
                     events.append(CutEvent(CutKind.BlockingCut, (u, v),
                                            other.joint, span))
-        for ch, (root, segs), (wa, wb), gs in zip(channels, regions, walls, gates):
+        for ch, (root, gs, segs), (wa, wb) in zip(channels, regions, walls):
             for h in range(1, len(segs)):
                 # the two walls bounding segment h
                 if (int_relation(a, b, wa[h - 1], wa[h]) is not Relation.ProperCrossing
@@ -651,10 +636,10 @@ def classify_connections(channels: Sequence[Channel],
     bendpoint closer to the root.  Consecutive pairs are omitted (they
     share a gate and never form a 2-side connection).
     """
-    ic = _Ints(d, [p for ch in channels for p in _channel_points(ch)])
+    ic = d.ints
     out = []
     for ch in channels:
-        root, segs = _on_ints(ch, ic.of)
+        root, _, segs = _on_ints(ch, ic)
         rep = ConnectionReport(ch.joint)
         n = len(segs)
         for a in range(1, min(n, ch.x + 1)):  # segments with an outer gate

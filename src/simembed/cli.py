@@ -48,7 +48,7 @@ from .model import (
 )
 from .planarity import (DEFAULT_BUDGET, SearchResult, check_simultaneous,
                         check_vertex_set, search_embedding)
-from .geom import Point, int_coords
+from .geom import Point
 
 EXIT_CLEAN = 0
 EXIT_VIOLATION = 1
@@ -67,11 +67,9 @@ def _fmt(num: int, scale: int) -> str:
 
 def render_svg(i, d) -> str:
     check_vertex_set(i, d)
-    pts = [d.pos[v] for v in range(i.tree.n)]
-    # on the integer points of one int_coords pass; scale is the common
-    # denominator that pass clears
-    ints = int_coords(pts)
-    scale = lcm(*(q.denominator for p in pts for q in (p.x, p.y)))
+    # on the drawing's integer points; scale is the denominator it cleared
+    ints = [d.ints[v] for v in range(i.tree.n)]
+    scale = lcm(*(q.denominator for p in d.pos.values() for q in (p.x, p.y)))
     xs = [p[0] for p in ints]
     ys = [p[1] for p in ints]
     pad = 10 * scale

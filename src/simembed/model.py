@@ -11,7 +11,7 @@ from itertools import chain, pairwise
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .geom import Point
+from .geom import Point, int_coords
 
 VertexId = int
 
@@ -128,16 +128,27 @@ class Instance:
     edge_disjoint_required: bool = False
 
 
+class _Drawn(dict):
+    """Vertex -> integer point; an undrawn vertex is a FormatError."""
+
+    def __missing__(self, v):
+        raise FormatError(f"vertex {v} is not drawn")
+
+
 @dataclass(frozen=True)
 class Drawing:
+    """Vertex -> Point, injective, and immutable by contract: nothing
+    changes `pos` once it is built.  ints[v] is v's point with the whole
+    drawing's denominators cleared by one int_coords call when it is
+    built; the drawing is injective exactly when that table is."""
     pos: dict  # VertexId -> Point
+    ints: dict = field(init=False, repr=False, compare=False)  # VertexId -> (int, int)
 
     def __post_init__(self):
-        # points told apart by their coordinates' integer ratios, which
-        # hash faster than the Fractions
-        if len({(p.x.as_integer_ratio(), p.y.as_integer_ratio())
-                for p in self.pos.values()}) != len(self.pos):
+        ints = _Drawn(zip(self.pos, int_coords(self.pos.values())))
+        if len(set(ints.values())) != len(ints):
             raise FormatError("drawing is not injective")
+        object.__setattr__(self, "ints", ints)
 
     def point(self, v: VertexId) -> Point:
         if v not in self.pos:

@@ -98,7 +98,7 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
 
     rep = CrossingReport()
     vs = sorted(d.pos)
-    ic = dict(zip(vs, int_coords(d.pos[v] for v in vs)))
+    ic = d.ints
     segs = [(ic[u], ic[v]) for u, v in edges]
     if _plane([(min(s), max(s)) for s in segs], set(ic.values())):
         return rep

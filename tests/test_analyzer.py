@@ -34,7 +34,7 @@ from simembed.analyzer import (
 )
 from simembed.counterexample import CellLayout, SequencePlan
 from simembed.geom import Point
-from simembed.model import Drawing, Instance, PathGraph, RootedTree
+from simembed.model import Drawing, FormatError, Instance, PathGraph, RootedTree
 
 P = Point
 F = Fraction
@@ -489,3 +489,33 @@ class TestDenominators:
         chs = compute_channels(inst, ds, [1, 2, 3])
         flag = {e.edge: e.extremal for e in detect_cuts(inst, ds, chs)}
         assert flag == {(11, 12): True, (10, 11): False}
+
+
+# --- undrawn vertices --------------------------------------------------------
+#
+# Every entry point that reads a vertex the drawing leaves out raises
+# FormatError: none skips it and reports the rest.  Channels and passages
+# are taken on the whole drawing and handed on with the drawing less one
+# vertex.
+
+@pytest.mark.parametrize("entry, witness, joints, missing", [
+    ("compute_channels", zigzag_witness, [1, 2, 3], 4),
+    ("detect_cuts", zigzag_witness, [1, 2, 3], 4),
+    ("classify_connections", zigzag_witness, [1, 2, 3], 4),
+    ("enumerate_doors", passage_witness, None, 3),
+    ("detect_cuts", double_cut_witness, [1, 2, 3], 11),
+])
+def test_undrawn_vertex_is_a_format_error(entry, witness, joints, missing):
+    inst, d, *plan = witness()
+    rest = Drawing({v: p for v, p in d.pos.items() if v != missing})
+    calls = {
+        "compute_channels": lambda: compute_channels(inst, rest, joints),
+        "detect_cuts": lambda: detect_cuts(
+            inst, rest, compute_channels(inst, d, joints)),
+        "classify_connections": lambda: classify_connections(
+            compute_channels(inst, d, joints), rest),
+        "enumerate_doors": lambda: enumerate_doors(
+            detect_passages(inst, d, *plan)[0], inst, rest),
+    }
+    with pytest.raises(FormatError, match=f"vertex {missing} is not drawn"):
+        calls[entry]()

@@ -31,11 +31,9 @@ from simembed.analyzer import (
     CutKind,
     Passage,
     _build_segments,
-    _channel_points,
     _cross,
     _crossed_polyline_edges,
     _gap,
-    _Ints,
     _ray_segment_hit,
     _relations,
     _separates,
@@ -54,13 +52,14 @@ from simembed.geom import (
     Relation,
     _features,
     _sign,
+    int_coords,
     int_cross,
     int_on_segment,
     int_point_in_triangle,
     int_relation,
     int_separable,
 )
-from simembed.model import Drawing, Role, dump_drawing, dump_instance
+from simembed.model import Drawing, FormatError, Role, dump_drawing, dump_instance
 
 # the desk instance of the benchmark's analyze operation: 465 vertices
 DESK_465 = dict(s=2, x=1, y=2, formation_reps=1, formation_outer=1,
@@ -104,6 +103,27 @@ def drawing(n: int, kind: str, seed: int) -> Drawing:
 
 # --- the references -------------------------------------------------------
 
+class _Ints(dict):
+    """Vertex -> integer point for all of d, and Point -> integer point
+    (`of`) for the `extra` points, from one int_coords call: the table
+    each analyzer entry point built before a Drawing carried `ints`."""
+
+    def __init__(self, d: Drawing, extra=()):
+        pts = [*d.pos.values(), *extra]
+        ints = int_coords(pts)
+        super().__init__(zip(d.pos, ints))
+        self.of = dict(zip(pts[len(d.pos):], ints[len(d.pos):]))
+
+    def __missing__(self, v):
+        raise FormatError(f"vertex {v} is not drawn")
+
+
+def _channel_points(ch: Channel) -> list:
+    """ch's root and every point of its segments, ray directions included."""
+    return [ch.root] + [p for s in ch.segments
+                        for p in s.vertices + sum(s.rays or (), ())]
+
+
 def _root_leaf_paths(i, joint: int) -> list[tuple]:
     """The paths from the root through joint to each leaf below it."""
     paths, stack = [], [(i.tree.root, joint)]
@@ -145,7 +165,7 @@ def reference_channels(i, d, joints) -> list[Channel]:
                            for pa in _root_leaf_paths(i, joints[idx - 1])
                            for pb in right)
         x = -negx
-        gates, segs = _build_segments(d, pa, pb, x)
+        gates, segs = _build_segments(d.point, Point.__sub__, pa, pb, x)
         out.append(Channel(joints[idx], pa, pb, x, gates, segs,
                            d.point(i.tree.root)))
     return out

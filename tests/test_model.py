@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from simembed.geom import Point
+from simembed.geom import Point, int_coords
 from simembed.model import (
     Drawing,
     FormatError,
@@ -266,3 +266,23 @@ class TestSerialization:
     def test_drawing_row_is_id_x_y(self, text):
         with pytest.raises(FormatError, match="<id> <x> <y>"):
             load_drawing(text)
+
+
+# coordinates with small numerators over denominators 1, 2, 3 and 7, so
+# that drawn points collide often
+COORDINATES = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2, 3, 7)))
+
+
+class TestDrawingInts:
+    @settings(max_examples=300)
+    @given(st.dictionaries(st.integers(0, 9),
+                           st.builds(Point, COORDINATES, COORDINATES), max_size=8))
+    def test_injective_by_its_integer_table(self, pos):
+        if len(set(pos.values())) < len(pos):
+            with pytest.raises(FormatError, match="not injective"):
+                Drawing(pos)
+            return
+        d = Drawing(pos)
+        assert d.ints == dict(zip(pos, int_coords(pos.values())))
+        with pytest.raises(FormatError, match="vertex 10 is not drawn"):
+            d.ints[10]

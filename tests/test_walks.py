@@ -1,6 +1,6 @@
 """Every tree walk is a loop: no function in simembed calls itself, and
 the searches and the channel walk run on 400-level chains with almost no
-stack to spare."""
+stack to spare.  No simembed module imports a name it never reads."""
 
 import ast
 import sys
@@ -45,6 +45,19 @@ def self_calls(source: str) -> list[str]:
                     if isinstance(node, ast.Call))]
 
 
+def unread_imports(source: str) -> list[str]:
+    """The names `source` binds by `import` or `from ... import` (but
+    `from __future__`) and never reads as a name."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read]
+
+
 @contextmanager
 def shallow_stack():
     """Lower the recursion limit to the caller's stack depth plus 100."""
@@ -76,6 +89,21 @@ class TestNoRecursion:
         found = [f"{path.name}: {name}"
                  for path in sorted(Path(simembed.__file__).parent.glob("*.py"))
                  for name in self_calls(path.read_text(encoding="utf-8"))]
+        assert found == []
+
+
+class TestNoUnreadImports:
+    def test_guard_sees_unread_names(self):
+        src = ("from __future__ import annotations\n"
+               "import os.path\nimport re as regex\n"
+               "from math import gcd, lcm\n"
+               "def f(x: int) -> int:\n    return gcd(x, os.sep)\n")
+        assert unread_imports(src) == ["regex", "lcm"]
+
+    def test_every_import_is_read(self):
+        found = [f"{path.name}: {name}"
+                 for path in sorted(Path(simembed.__file__).parent.glob("*.py"))
+                 for name in unread_imports(path.read_text(encoding="utf-8"))]
         assert found == []
 
 
