@@ -50,10 +50,6 @@ class PlanMismatch(AnalyzerError):
     pass
 
 
-class UnorderableJoints(AnalyzerError):
-    pass
-
-
 class TooFewJoints(AnalyzerError):
     pass
 
@@ -61,12 +57,6 @@ class TooFewJoints(AnalyzerError):
 class DoorStatus(Enum):
     Open = "open"
     Closed = "closed"
-
-
-class PassageRelation(Enum):
-    Independent = "independent"
-    Nested = "nested"
-    Interconnected = "interconnected"
 
 
 class CutKind(Enum):
@@ -93,7 +83,6 @@ class Passage:
     c1_vertices: tuple = ()
     c2_vertices: tuple = ()
     sep_vertices: tuple = ()
-    polyline: tuple = ()
     crossed_sep_edges: tuple = ()
 
 
@@ -129,7 +118,6 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     orders = _check_plan(i, d, plan)
     ic = d.ints
     pts = [[ic[v] for v in vs] for vs in orders]
-    polylines = [tuple(d.point(v) for v in vs) for vs in orders]
     joint = [cell.joint for cell in plan.cells]
     tree_edges = i.tree.edges()
     out = []
@@ -145,7 +133,7 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
             out.append(Passage(
                 c1=a, c2=b, c_sep=s, joint=joint[a], sep_joint=joint[s],
                 c1_vertices=tuple(orders[a]), c2_vertices=tuple(orders[b]),
-                sep_vertices=tuple(orders[s]), polyline=polylines[s],
+                sep_vertices=tuple(orders[s]),
                 crossed_sep_edges=crossed))
     return out
 
@@ -234,25 +222,6 @@ def enumerate_doors(p: Passage, i: Instance, d: Drawing) -> list[Door]:
                 out.append(Door(apex, (w1, w2),
                                 DoorStatus.Closed if closed else DoorStatus.Open))
     return out
-
-
-# --- passage pairs --------------------------------------------------------
-
-def classify_index_pairs(first: tuple, second: tuple) -> PassageRelation:
-    """Classify two passages given as (joint, separating joint) index
-    pairs.  Pure interval comparison; any coincidence among the relevant
-    indices is refused."""
-    a1, b1 = sorted(first)
-    a2, b2 = sorted(second)
-    if a1 > a2:
-        (a1, b1), (a2, b2) = (a2, b2), (a1, b1)
-    if a1 == a2 or b1 in (a2, b2):
-        raise UnorderableJoints(f"indices {first} / {second} cannot be ordered")
-    if b1 < a2:
-        return PassageRelation.Independent
-    if b2 < b1:
-        return PassageRelation.Nested
-    return PassageRelation.Interconnected
 
 
 # --- channels -------------------------------------------------------------
@@ -660,11 +629,3 @@ def classify_connections(channels: Sequence[Channel],
                     rep.entries[(a, b)] = ConnectionKind.TwoSideHigh
         out.append(rep)
     return out
-
-
-def disjoint_intersections(first: tuple, second: tuple) -> bool:
-    """Whether intersections I_(a,b) and I_(c,d) are disjoint: a and d in
-    {1, 2} while b and c are in {3, 4}."""
-    a, b = first
-    c, dd = second
-    return a in (1, 2) and dd in (1, 2) and b in (3, 4) and c in (3, 4)

@@ -44,7 +44,6 @@ from .model import (
     dump_instance,
     load_drawing,
     load_instance,
-    tree_depth,
 )
 from .planarity import (DEFAULT_BUDGET, SearchResult, check_simultaneous,
                         check_vertex_set, search_embedding)
@@ -185,12 +184,8 @@ def cmd_embed_depth2(args) -> int:
     inst = load_instance(_read(args.instance))
     try:
         d = embed_depth2(inst)
-    except DepthExceeded:
-        print(f"refused: tree has depth {tree_depth(inst.tree)}; the "
-              "wedge construction only covers depth <= 2, and no "
-              "construction can cover every tree: there is a depth-4 "
-              "tree/path pair with no simultaneous straight-line "
-              "embedding (see the generate subcommand)", file=sys.stderr)
+    except DepthExceeded as e:
+        print(f"refused: {e}", file=sys.stderr)
         return EXIT_VIOLATION
     _write(args.out, dump_drawing(d))
     return EXIT_CLEAN
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--format", choices=("text", "records"), default="text")
     pp.set_defaults(func=cmd_params)
 
-    e = sub.add_parser("embed-depth2", help="embed a depth-<=2 instance")
+    e = sub.add_parser("embed-depth2", help="embed an instance whose tree has radius <= 2")
     e.add_argument("instance")
     e.add_argument("--out")
     e.set_defaults(func=cmd_embed_depth2)

@@ -1,5 +1,8 @@
-"""Constructive simultaneous embedding of a depth-2 tree with any path.
+"""Constructive simultaneous embedding of a tree of radius at most 2
+with any path.
 
+A tree deeper than 2 is first rooted at a center, keeping its vertex
+ids and edges, so a drawing of the re-rooted tree draws the given one.
 The root goes to the origin and each root subtree into its own wedge
 of integer slopes, the wedges stacked one below the other.  The two
 subpaths leaving the root are laid out x-monotonically, one after the
@@ -9,13 +12,10 @@ hull underneath everything else.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from itertools import permutations
+from dataclasses import dataclass, replace
 
 from .geom import Point
-from .model import Drawing, Instance, PathGraph, RootedTree, ValidationReport
-from .planarity import check_simultaneous
+from .model import Drawing, Instance, ValidationReport
 
 
 class DepthExceeded(ValueError):
@@ -30,13 +30,14 @@ class WedgePlan:
     ranks: dict        # VertexId -> x-rank, a permutation of 1..n-1
     u: int | None      # first vertex of the subpath P1
     v: int | None      # first vertex of the subpath P2
+    root: int          # the tree's root, or a center if the root is deeper
 
 
-def _subpaths(i: Instance) -> tuple[list, list]:
+def _subpaths(order: tuple, root: int) -> tuple[list, list]:
     """The two subpaths leaving the root, in walking order, root excluded.
     If the root is a path endpoint the second list is empty."""
-    order = list(i.path.order)
-    k = order.index(i.tree.root)
+    order = list(order)
+    k = order.index(root)
     p1 = list(reversed(order[:k]))
     p2 = order[k + 1:]
     if not p1:
@@ -44,14 +45,23 @@ def _subpaths(i: Instance) -> tuple[list, list]:
     return p1, p2
 
 
-def plan_depth2(i: Instance) -> WedgePlan:
-    t_ = i.tree
-    depth = max(t_.depth)
-    if depth > 2:
+def _centered(i: Instance) -> Instance:
+    """i itself if its tree has depth at most 2, else i with the tree
+    rooted at a center, where its depth is its radius."""
+    if max(i.tree.depth) <= 2:
+        return i
+    c, radius = i.tree.center()
+    if radius > 2:
         raise DepthExceeded(
-            f"tree has depth {depth}; this construction handles depth at most 2"
-            " (already at depth 4 a tree and a path can fail to embed together)")
-    p1, p2 = _subpaths(i)
+            f"tree has radius {radius}; the wedge construction covers the"
+            " trees of radius at most 2, each rooted at a center")
+    return replace(i, tree=i.tree.rerooted(c))
+
+
+def plan_depth2(i: Instance) -> WedgePlan:
+    i = _centered(i)
+    t_ = i.tree
+    p1, p2 = _subpaths(i.path.order, t_.root)
     ranks = {}
     for k, w in enumerate(p1, start=1):
         ranks[w] = k
@@ -79,7 +89,7 @@ def plan_depth2(i: Instance) -> WedgePlan:
     assignment = {w: wedge_of_child[c] for w, c in top.items()}
     wedges = tuple(((t - 2 * j - 2) * t_.n, (t - 2 * j - 1) * t_.n)
                    for j in range(t))
-    return WedgePlan(t, wedges, assignment, ranks, u, v)
+    return WedgePlan(t, wedges, assignment, ranks, u, v, t_.root)
 
 
 def embed_depth2(i: Instance) -> Drawing:
@@ -93,7 +103,7 @@ def embed_depth2(i: Instance) -> Drawing:
     closing root edge on the hull.  Integer coordinates, below n^3.
     """
     plan = plan_depth2(i)
-    pos = {i.tree.root: Point(0, 0)}
+    pos = {plan.root: Point(0, 0)}
     for w, k in plan.ranks.items():
         hi = plan.wedges[plan.assignment[w]][1]
         pos[w] = Point(k, (hi - k) * k)
@@ -102,11 +112,11 @@ def embed_depth2(i: Instance) -> Drawing:
 
 def verify_conditions(i: Instance, d: Drawing) -> ValidationReport:
     """Syntactic check of the five placement conditions, independent of
-    any planarity test."""
+    any planarity test, for the tree rooted as plan_depth2 roots it."""
     rep = ValidationReport()
     plan = plan_depth2(i)
-    r = i.tree.root
-    p1, p2 = _subpaths(i)
+    r = plan.root
+    p1, p2 = _subpaths(i.path.order, r)
     xs = {w: d.point(w).x for w in d.pos}
     others = [w for w in d.pos if w != r]
     if plan.u is not None and any(xs[w] < xs[plan.u] for w in others):
@@ -135,75 +145,4 @@ def verify_conditions(i: Instance, d: Drawing) -> ValidationReport:
         p = d.point(w)
         if not (p.x > 0 and lo * p.x < p.y < hi * p.x):
             rep.add(f"wedge: vertex {w} outside its wedge")
-    return rep
-
-
-# --- systematic exerciser -------------------------------------------------
-
-@dataclass
-class SuiteReport:
-    trees: int = 0
-    pairs: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _partitions(n):
-    """The partitions of n, parts non-increasing, in reverse lexicographic
-    order: each next one lowers the last part above 1 by one and refills
-    the parts after it greedily with parts no larger."""
-    part = [n] * (n > 0)
-    while True:
-        yield tuple(part)
-        rest = 1  # what the refill must sum to: the unit and the trailing ones
-        while part and part[-1] == 1:
-            rest += part.pop()
-        if not part:
-            return
-        head = part.pop() - 1
-        q, r = divmod(rest, head)
-        part += [head] * (q + 1) + [r] * (r > 0)
-
-
-def depth2_trees(n: int):
-    """One representative per isomorphism class: a partition of n - 1
-    into subtree sizes, each subtree a star."""
-    for part in _partitions(n - 1):
-        parent = [None]
-        for size in part:
-            c = len(parent)
-            parent.append(0)
-            parent.extend([c] * (size - 1))
-        yield RootedTree.from_parent(parent)
-
-
-def enumerate_depth2_suite(n_max: int, trials: int = 200,
-                           seed: int = 0) -> SuiteReport:
-    rep = SuiteReport()
-    rng = random.Random(seed)
-    for n in range(1, n_max + 1):
-        for tree in depth2_trees(n):
-            rep.trees += 1
-            if n <= 7:
-                orders = [list(p) for p in permutations(range(n))
-                          if n == 1 or p[0] < p[-1]]
-            else:
-                orders = []
-                for _ in range(trials):
-                    o = list(range(n))
-                    rng.shuffle(o)
-                    orders.append(o)
-            for order in orders:
-                rep.pairs += 1
-                inst = Instance(tree, PathGraph.of(order))
-                d = embed_depth2(inst)
-                cond = verify_conditions(inst, d)
-                tr, pr = check_simultaneous(inst, d)
-                if not (cond.valid and tr.planar and pr.planar):
-                    rep.failures.append((tree.parent, tuple(order),
-                                         cond.violations,
-                                         tr.crossings, pr.crossings))
     return rep

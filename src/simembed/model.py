@@ -9,7 +9,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise
 from operator import attrgetter
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .geom import Point, int_coords
 
@@ -105,6 +106,34 @@ class RootedTree:
     def edges(self) -> list[tuple[VertexId, VertexId]]:
         return [(self.parent[v], v) for v in range(self.n) if self.parent[v] is not None]
 
+    def center(self) -> tuple[VertexId, int]:
+        """(c, radius): c is the least-id vertex of least eccentricity,
+        and that eccentricity is the radius.  The deepest vertex a ends a
+        longest path, a breadth-first walk from a ends at its other end
+        b, and the centers are the one or two middle vertices of the path
+        from b to a."""
+        a = self.depth.index(max(self.depth))
+        via, order = [-1] * self.n, [a]
+        via[a] = a
+        for v in order:
+            for w in self._kids[v] + (self.parent[v],):
+                if w is not None and via[w] < 0:
+                    via[w] = v
+                    order.append(w)
+        path = [order[-1]]
+        while path[-1] != a:
+            path.append(via[path[-1]])
+        k = len(path) - 1
+        return min(path[k // 2], path[k - k // 2]), (k + 1) // 2
+
+    def rerooted(self, r: VertexId) -> "RootedTree":
+        """The same vertices, edges and labels, rooted at r: the parent
+        links on the path from r to the old root turn around."""
+        parent, prev, v = list(self.parent), None, r
+        while v is not None:
+            parent[v], prev, v = prev, v, self.parent[v]
+        return RootedTree.from_parent(parent, self.labels)
+
     def role(self, v: VertexId) -> Role:
         return self.labels[v] if self.labels else Role.Other
 
@@ -137,17 +166,19 @@ class _Drawn(dict):
 
 @dataclass(frozen=True)
 class Drawing:
-    """Vertex -> Point, injective, and immutable by contract: nothing
-    changes `pos` once it is built.  ints[v] is v's point with the whole
-    drawing's denominators cleared by one int_coords call when it is
-    built; the drawing is injective exactly when that table is."""
-    pos: dict  # VertexId -> Point
+    """Vertex -> Point, injective and immutable: `pos` is a read-only
+    copy of the mapping it is built from.  ints[v] is v's point with the
+    whole drawing's denominators cleared by one int_coords call when it
+    is built; the drawing is injective exactly when that table is."""
+    pos: Mapping  # VertexId -> Point
     ints: dict = field(init=False, repr=False, compare=False)  # VertexId -> (int, int)
 
     def __post_init__(self):
-        ints = _Drawn(zip(self.pos, int_coords(self.pos.values())))
+        pos = MappingProxyType(dict(self.pos))
+        ints = _Drawn(zip(pos, int_coords(pos.values())))
         if len(set(ints.values())) != len(ints):
             raise FormatError("drawing is not injective")
+        object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "ints", ints)
 
     def point(self, v: VertexId) -> Point:
@@ -206,11 +237,6 @@ def validate_instance(i: Instance) -> ValidationReport:
         for e in sorted(shared):
             rep.add(f"shared edge {e}")
     return rep
-
-
-def tree_depth(t: RootedTree) -> int:
-    """Maximum root-to-vertex distance (bends along root paths = depth - 1)."""
-    return max(t.depth)
 
 
 # --- the line grammar of .sge, .sgd and .slt -------------------------------

@@ -7,7 +7,6 @@ drawings whose classifications were derived geometrically before being
 encoded.  No expected value below was copied from program output.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -17,9 +16,7 @@ from simembed.analyzer import (
     ConnectionKind,
     CutKind,
     DoorStatus,
-    PassageRelation,
     classify_connections,
-    classify_index_pairs,
     compute_channels,
     detect_cuts,
     detect_passages,
@@ -33,7 +30,6 @@ from simembed.counterexample import (
     compute_paper_parameters,
     size_report,
 )
-from simembed.depth2 import depth2_trees, enumerate_depth2_suite
 from simembed.geom import (
     Point,
     Segment,
@@ -51,7 +47,7 @@ from simembed.leveltree import (
     search_level_planar,
     search_region_level_planar,
 )
-from simembed.model import Instance, PathGraph, RootedTree, tree_depth
+from simembed.model import Instance, PathGraph, RootedTree
 from simembed.planarity import (
     SearchStatus,
     check_drawing,
@@ -66,6 +62,7 @@ from test_analyzer import (
     passage_witness,
     zigzag_witness,
 )
+from test_depth2 import depth2_trees, enumerate_depth2_suite
 from test_planarity import all_pairs_reference
 
 GADGET = RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3, 1, 2, 3])
@@ -172,7 +169,7 @@ class TestAcceptance5GeneratedInstances:
                 formation_outer=1, sef_tuple=2, sef_efs=2, sef_reps=4,
                 cap=500_000)
             inst, _plan = build_instance(p)
-            assert tree_depth(inst.tree) == 4
+            assert max(inst.tree.depth) == 4
             n = inst.tree.n
             assert sorted(inst.path.order) == list(range(n))
             tree_edges = {frozenset(e) for e in inst.tree.edges()}
@@ -299,16 +296,6 @@ class TestAcceptance7AnalyzerWitnesses:
         kinds = {e.edge: e.kind for e in detect_cuts(inst, d, chs)}
         assert kinds[(10, 11)] is CutKind.DoubleCutSimple
         assert kinds[(11, 12)] is CutKind.DoubleCutNonSimple
-
-    def test_three_passage_pair_classes(self):
-        assert classify_index_pairs((1, 2), (3, 4)) \
-            is PassageRelation.Independent
-        assert classify_index_pairs((1, 4), (2, 3)) is PassageRelation.Nested
-        assert classify_index_pairs((1, 3), (2, 4)) \
-            is PassageRelation.Interconnected
-        seen = {classify_index_pairs((q[0], q[1]), (q[2], q[3]))
-                for q in itertools.permutations(range(1, 5))}
-        assert seen == set(PassageRelation)
 
     def test_three_connection_kinds(self):
         inst, d = zigzag_witness()

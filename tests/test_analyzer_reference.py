@@ -304,7 +304,6 @@ def reference_passages(i, d, plan) -> list[Passage]:
                     c1=a, c2=b, c_sep=s, joint=ca.joint, sep_joint=cs.joint,
                     c1_vertices=tuple(va), c2_vertices=tuple(vb),
                     sep_vertices=tuple(vs),
-                    polyline=tuple(d.point(v) for v in vs),
                     crossed_sep_edges=crossed))
     return out
 

@@ -119,11 +119,19 @@ class TestEmbedCheck:
         assert main(["check", sge, str(sgd)]) == 1
 
     def test_embed_refuses_depth3(self, tmp_path, capsys):
-        t = RootedTree.from_parent([None, 0, 1, 2])
-        sge = write_instance(tmp_path, Instance(t, PathGraph.of([3, 2, 1, 0])))
+        # the 7-vertex path rooted at an end: radius 3
+        t = RootedTree.from_parent([None, 0, 1, 2, 3, 4, 5])
+        sge = write_instance(tmp_path, Instance(t, PathGraph.of(range(7))))
         assert main(["embed-depth2", sge]) == 1
-        err = capsys.readouterr().err
-        assert "depth 3" in err and "depth-4" in err
+        assert "radius 3" in capsys.readouterr().err
+
+    def test_embed_roots_at_a_center(self, tmp_path):
+        # the 5-vertex path rooted at an end: depth 4, radius 2
+        t = RootedTree.from_parent([None, 0, 1, 2, 3])
+        sge = write_instance(tmp_path, Instance(t, PathGraph.of([0, 2, 4, 1, 3])))
+        sgd = str(tmp_path / "a.sgd")
+        assert main(["embed-depth2", sge, "--out", sgd]) == 0
+        assert main(["check", sge, sgd]) == 0
 
     def test_check_records_format(self, tmp_path, capsys):
         sge = write_instance(tmp_path, depth2_instance())

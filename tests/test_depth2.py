@@ -1,19 +1,89 @@
 import random
+from dataclasses import dataclass, field
+from itertools import permutations, product
 
 import pytest
 
 from simembed.depth2 import (
     DepthExceeded,
-    _partitions,
-    depth2_trees,
     embed_depth2,
-    enumerate_depth2_suite,
     plan_depth2,
     verify_conditions,
 )
 from simembed.geom import Point
 from simembed.model import Drawing, Instance, PathGraph, RootedTree
 from simembed.planarity import check_simultaneous
+
+
+# --- the systematic exerciser -------------------------------------------
+
+@dataclass
+class SuiteReport:
+    trees: int = 0
+    pairs: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _partitions(n):
+    """The partitions of n, parts non-increasing, in reverse lexicographic
+    order: each next one lowers the last part above 1 by one and refills
+    the parts after it greedily with parts no larger."""
+    part = [n] * (n > 0)
+    while True:
+        yield tuple(part)
+        rest = 1  # what the refill must sum to: the unit and the trailing ones
+        while part and part[-1] == 1:
+            rest += part.pop()
+        if not part:
+            return
+        head = part.pop() - 1
+        q, r = divmod(rest, head)
+        part += [head] * (q + 1) + [r] * (r > 0)
+
+
+def depth2_trees(n: int):
+    """One representative per isomorphism class: a partition of n - 1
+    into subtree sizes, each subtree a star."""
+    for part in _partitions(n - 1):
+        parent = [None]
+        for size in part:
+            c = len(parent)
+            parent.append(0)
+            parent.extend([c] * (size - 1))
+        yield RootedTree.from_parent(parent)
+
+
+def enumerate_depth2_suite(n_max: int, trials: int = 200,
+                           seed: int = 0) -> SuiteReport:
+    rep = SuiteReport()
+    rng = random.Random(seed)
+    for n in range(1, n_max + 1):
+        for tree in depth2_trees(n):
+            rep.trees += 1
+            if n <= 7:
+                orders = [list(p) for p in permutations(range(n))
+                          if n == 1 or p[0] < p[-1]]
+            else:
+                orders = []
+                for _ in range(trials):
+                    o = list(range(n))
+                    rng.shuffle(o)
+                    orders.append(o)
+            for order in orders:
+                rep.pairs += 1
+                inst = Instance(tree, PathGraph.of(order))
+                d = embed_depth2(inst)
+                cond = verify_conditions(inst, d)
+                tr, pr = check_simultaneous(inst, d)
+                if not (cond.valid and tr.planar and pr.planar):
+                    rep.failures.append((tree.parent, tuple(order),
+                                         cond.violations,
+                                         tr.crossings, pr.crossings))
+    return rep
 
 
 def inst(parent, order):
@@ -52,9 +122,17 @@ class TestEmbed:
         assert_good(inst([None, 0, 0, 1, 1], [3, 0, 4, 1, 2]))
 
     def test_depth3_refused(self):
-        i = inst([None, 0, 1, 2], [3, 2, 1, 0])
-        with pytest.raises(DepthExceeded):
+        # the 7-vertex path rooted at an end: radius 3
+        i = inst([None, 0, 1, 2, 3, 4, 5], [6, 5, 4, 3, 2, 1, 0])
+        with pytest.raises(DepthExceeded, match="radius 3"):
             embed_depth2(i)
+
+    def test_path_rooted_at_an_end_embeds(self):
+        # the 5-vertex path rooted at an end has depth 4 but radius 2: it
+        # is drawn rooted at its center, vertex 2, and the drawing is
+        # checked against the end-rooted tree
+        d = assert_good(inst([None, 0, 1, 2, 3], [0, 2, 4, 1, 3]))
+        assert d.point(2) == Point(0, 0)
 
     def test_deterministic(self):
         i = inst([None, 0, 0, 1, 2], [3, 1, 0, 2, 4])
@@ -150,3 +228,69 @@ class TestSuite:
     def test_exhaustive_n5(self):
         rep = enumerate_depth2_suite(5)
         assert rep.ok and rep.pairs > 0
+
+
+# --- every rooting of every tree of radius <= 2 ---------------------------
+
+def rooted_at(n, edges, r):
+    """The parent list and the distance list of the tree `edges` on
+    0..n-1 rooted at r, by a breadth-first walk."""
+    parent, dist, order = [None] * n, [None] * n, [r]
+    dist[r] = 0
+    for v in order:
+        for a, b in edges:
+            w = b if a == v else a if b == v else None
+            if w is not None and dist[w] is None:
+                parent[w], dist[w] = v, dist[v] + 1
+                order.append(w)
+    return parent, dist
+
+
+def free_trees(n):
+    """One edge list per isomorphism class of trees on 0..n-1.  Every
+    class has a labelling with parent[v] < v; a class is named by the
+    least canonical string over the rootings of its members."""
+    def canon(parent, v):
+        kids = [w for w in range(n) if parent[w] == v]
+        return "(" + "".join(sorted(canon(parent, w) for w in kids)) + ")"
+
+    seen = set()
+    for parents in product(*(range(v) for v in range(1, n))):
+        edges = list(enumerate(parents, start=1))
+        key = min(canon(rooted_at(n, edges, r)[0], r) for r in range(n))
+        if key not in seen:
+            seen.add(key)
+            yield edges
+
+
+class TestRadiusTwo:
+    def test_free_tree_counts(self):
+        # OEIS A000055
+        assert [len(list(free_trees(n))) for n in range(1, 8)] == \
+            [1, 1, 1, 2, 3, 6, 11]
+
+    def test_every_rooting_against_every_path(self):
+        # each tree of radius <= 2 with n <= 6, rooted at each vertex,
+        # against each path up to reversal; a rooting of depth <= 2 keeps
+        # its root at the origin
+        trees, pairs, failures = 0, 0, []
+        for n in range(1, 7):
+            for edges in free_trees(n):
+                if min(max(rooted_at(n, edges, r)[1]) for r in range(n)) > 2:
+                    continue
+                trees += 1
+                for r in range(n):
+                    parent, dist = rooted_at(n, edges, r)
+                    tree = RootedTree.from_parent(parent)
+                    for order in permutations(range(n)):
+                        if n > 1 and order[0] > order[-1]:
+                            continue
+                        pairs += 1
+                        i = Instance(tree, PathGraph.of(order))
+                        d = embed_depth2(i)
+                        tr, pr = check_simultaneous(i, d)
+                        if not (verify_conditions(i, d).valid and tr.planar
+                                and pr.planar and (max(dist) > 2
+                                                   or d.point(r) == Point(0, 0))):
+                            failures.append((parent, order))
+        assert (trees, pairs, failures) == (13, 11_808, [])

@@ -17,7 +17,6 @@ from simembed.model import (
     dump_instance,
     load_drawing,
     load_instance,
-    tree_depth,
     validate_instance,
 )
 
@@ -165,7 +164,6 @@ class TestRootedTree:
             walk[v] = d
         assert dict(enumerate(t.depth)) == walk
         assert t.depth == tuple(walk[v] for v in range(len(parent)))
-        assert tree_depth(t) == max(walk.values())
 
     def test_children(self):
         t = RootedTree.from_parent([None, 0, 0, 1])
@@ -178,16 +176,26 @@ class TestRootedTree:
         assert t.children(3) == [0, 1]
 
 
-class TestTreeDepth:
-    def test_star(self):
-        assert tree_depth(star(5)) == 1
+class TestCenter:
+    @pytest.mark.parametrize("parent,center", [
+        ([None], (0, 0)),
+        ([None, 0], (0, 1)),             # two centers, the least id wins
+        ([1, None], (0, 1)),
+        ([None, 0, 1, 2, 3], (2, 2)),    # path rooted at an end
+        ([None, 0, 1, 2, 3, 4], (2, 3)),  # two centers: 2 and 3
+        ([5, 0, 1, 2, 3, None], (1, 3)),  # path 5 0 1 2 3 4: centers 1, 2
+        ([None] + [0] * 5, (0, 1)),
+    ])
+    def test_center_and_radius(self, parent, center):
+        assert RootedTree.from_parent(parent).center() == center
 
-    def test_single_vertex(self):
-        assert tree_depth(RootedTree.from_parent([None])) == 0
-
-    def test_depth_two(self):
-        t = RootedTree.from_parent([None, 0, 1, 1])
-        assert tree_depth(t) == 2
+    def test_rerooted_keeps_ids_edges_and_labels(self):
+        labels = [Role.Root, Role.Joint, Role.Joint, Role.Stabilizer]
+        t = RootedTree.from_parent([None, 0, 1, 1], labels)
+        r = t.rerooted(3)
+        assert r.parent == (1, 3, 1, None) and r.labels == t.labels
+        assert {frozenset(e) for e in r.edges()} == {frozenset(e) for e in t.edges()}
+        assert r.depth == (2, 1, 2, 0)
 
 
 class TestSerialization:
@@ -286,3 +294,12 @@ class TestDrawingInts:
         assert d.ints == dict(zip(pos, int_coords(pos.values())))
         with pytest.raises(FormatError, match="vertex 10 is not drawn"):
             d.ints[10]
+
+    def test_pos_is_read_only(self):
+        # a changed point would leave `ints` stale
+        pos = {0: Point(0, 0), 1: Point(2, 2), 2: Point(0, 2), 3: Point(2, 3)}
+        d = Drawing(pos)
+        with pytest.raises(TypeError):
+            d.pos[3] = Point(2, 0)
+        pos[3] = Point(2, 0)
+        assert d.pos[3] == Point(2, 3) and d.ints[3] == (2, 3)

@@ -1,6 +1,9 @@
 """Every tree walk is a loop: no function in simembed calls itself, and
 the searches and the channel walk run on 400-level chains with almost no
-stack to spare.  No simembed module imports a name it never reads."""
+stack to spare.  No simembed module imports a name it never reads, and
+every public top-level function and class of simembed is read by some
+module of simembed or of perfbench, but for the few listed with the
+reason each stays."""
 
 import ast
 import sys
@@ -58,6 +61,34 @@ def unread_imports(source: str) -> list[str]:
             if (alias.asname or alias.name.split(".")[0]) not in read]
 
 
+def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
+    """The public top-level `def` and `class` names of the `defining`
+    sources that no `reading` source reads as a name, an attribute or
+    an imported name."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [node.name for source in defining for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+# public names that no simembed or perfbench module reads, and why each stays
+UNREAD_BY_DESIGN = {
+    "segment_of": "the Point query of a channel segment, through which the"
+                  " acceptance tests read cuts",
+    "dump_level_tree": "the .slt writer, for a refutation that names a small"
+                       " sub-instance",
+    "lemma1_tree": "the paper's Lemma 1 leveling scan",
+}
+
+
 @contextmanager
 def shallow_stack():
     """Lower the recursion limit to the caller's stack depth plus 100."""
@@ -105,6 +136,26 @@ class TestNoUnreadImports:
                  for path in sorted(Path(simembed.__file__).parent.glob("*.py"))
                  for name in unread_imports(path.read_text(encoding="utf-8"))]
         assert found == []
+
+
+class TestNoUnreadDefinitions:
+    def test_guard_sees_unread_definitions(self):
+        lib = ("import os\n"
+               "def used():\n    return os.sep\n"
+               "def unused():\n    return used()\n"
+               "def _private():\n    pass\n"
+               "class Read:\n    pass\n"
+               "class Unread:\n    def method(self):\n        return Read\n")
+        caller = "from lib import used as alias\nimport lib\nlib.unused\n"
+        assert unread_definitions([lib], [lib]) == ["unused", "Unread"]
+        assert unread_definitions([lib], [lib, caller]) == ["Unread"]
+
+    def test_every_public_definition_is_read(self):
+        lib = [path.read_text(encoding="utf-8")
+               for path in sorted(Path(simembed.__file__).parent.glob("*.py"))]
+        bench = [path.read_text(encoding="utf-8") for path in
+                 sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))]
+        assert sorted(unread_definitions(lib, lib + bench)) == sorted(UNREAD_BY_DESIGN)
 
 
 class TestDeepChains:
