@@ -119,7 +119,7 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     ic = d.ints
     pts = [[ic[v] for v in vs] for vs in orders]
     joint = [cell.joint for cell in plan.cells]
-    tree_edges = i.tree.edges()
+    parent = i.tree.parent
     out = []
     for a, b in combinations(range(len(orders)), 2):
         if joint[a] != joint[b] or int_separable(pts[a], pts[b]):
@@ -128,8 +128,11 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
             if (joint[s] == joint[a] or len(poly) < 3
                     or not _separates(pts[a], pts[b], poly)):
                 continue
+            # a tree edge joining the cells is (parent[v], v) for its
+            # child end v, a cell vertex
             crossed = _crossed_polyline_edges(
-                tree_edges, set(orders[a]), set(orders[b]), ic, poly)
+                [(parent[v], v) for v in orders[a] + orders[b]],
+                set(orders[a]), set(orders[b]), ic, poly)
             out.append(Passage(
                 c1=a, c2=b, c_sep=s, joint=joint[a], sep_joint=joint[s],
                 c1_vertices=tuple(orders[a]), c2_vertices=tuple(orders[b]),
@@ -152,11 +155,11 @@ def _separates(pa: list, pb: list, poly: list) -> bool:
     return all(parity(p, q) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
 
 
-def _crossed_polyline_edges(tree_edges, set1, set2, ic, poly) -> tuple:
-    """Indices of polyline edges properly crossed by tree edges joining
-    the two cell vertex sets."""
+def _crossed_polyline_edges(edges, set1, set2, ic, poly) -> tuple:
+    """Indices of polyline edges properly crossed by those of the given
+    tree edges that join the two cell vertex sets."""
     hit = set()
-    for u, v in tree_edges:
+    for u, v in edges:
         if not ((u in set1 and v in set2) or (u in set2 and v in set1)):
             continue
         rels = _relations(ic[u], ic[v], poly)
@@ -175,17 +178,15 @@ class Door:
 
 
 def _tree_distance(i: Instance, a: int, b: int) -> int:
-    da = {}
-    v, k = a, 0
-    while v is not None:
-        da[v] = k
-        v = i.tree.parent[v]
+    """The tree edges between a and b: the deeper end climbs till they meet."""
+    depth, parent = i.tree.depth, i.tree.parent
+    k = 0
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        a = parent[a]
         k += 1
-    v, k = b, 0
-    while v not in da:
-        v = i.tree.parent[v]
-        k += 1
-    return da[v] + k
+    return k
 
 
 def enumerate_doors(p: Passage, i: Instance, d: Drawing) -> list[Door]:
@@ -198,22 +199,23 @@ def enumerate_doors(p: Passage, i: Instance, d: Drawing) -> list[Door]:
     ic = d.ints
     hull = int_convex_hull([ic[v] for v in p.c1_vertices + p.c2_vertices])
     dist = {v: _tree_distance(i, v, p.sep_joint) for v in p.sep_vertices}
-    others = set(p.c1_vertices) | set(p.c2_vertices)
-    tree_edges = i.tree.edges()
+    others = [ic[w] for w in set(p.c1_vertices) | set(p.c2_vertices)]
     out = []
     for apex in sorted(p.sep_vertices):
         pv = ic[apex]
         if int_point_in_convex_polygon(pv, hull) is not Position.Inside:
             continue
-        nearer = [ic[w] for w in p.sep_vertices
-                  if w != apex and dist[w] < dist[apex]]
-        ends = [ic[v if u == apex else u] for u, v in tree_edges if apex in (u, v)]
+        # a triangle never strictly contains its own corners, so one
+        # obstacle list serves every base pair of this apex
+        inner = others + [ic[w] for w in p.sep_vertices
+                          if w != apex and dist[w] < dist[apex]]
+        ends = [ic[w] for w in i.tree._kids[apex] + (i.tree.parent[apex],)
+                if w is not None]
         for w1 in sorted(p.c1_vertices):
             for w2 in sorted(p.c2_vertices):
                 tri = (pv, ic[w1], ic[w2])
                 if int_cross(*tri) == 0:
                     continue
-                inner = [ic[w] for w in others if w not in (w1, w2)] + nearer
                 if any(int_point_in_triangle(q, tri) is Position.Inside
                        for q in inner):
                     continue
@@ -543,7 +545,7 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
     walls = [[[ic[w] for w in path] for path in (ch.path_a, ch.path_b)]
              for ch in channels]
     events = []
-    doubles = []
+    doubles, least = [], {}  # least: each group's least gap
     owner = _vertex_to_ef(plan)
     for u, v in i.path.edges():
         a, b = ic[u], ic[v]
@@ -575,15 +577,10 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                     else CutKind.DoubleCutNonSimple
                 dist = _gap(gs[h - 1], a, b)
                 group = (ch.joint, h, owner.get(u, owner.get(v)))
-                doubles.append((group, dist, CutEvent(kind, (u, v),
-                                                      ch.joint, (h, h + 1))))
-    best = {}
-    for group, dist, ev in doubles:
-        if group not in best or dist < best[group]:
-            best[group] = dist
-    for group, dist, ev in doubles:
-        events.append(CutEvent(ev.kind, ev.edge, ev.channel, ev.segments,
-                               extremal=(dist == best[group])))
+                least[group] = min(dist, least.get(group, dist))
+                doubles.append((group, dist, kind, (u, v), ch.joint, (h, h + 1)))
+    events += [CutEvent(kind, edge, joint, span, extremal=(dist == least[group]))
+               for group, dist, kind, edge, joint, span in doubles]
     events.sort(key=lambda ev: (ev.kind.value, ev.edge, ev.channel, ev.segments))
     return events
 

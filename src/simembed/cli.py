@@ -18,6 +18,7 @@ from collections import Counter
 from math import lcm
 
 from .analyzer import (
+    PlanMismatch,
     classify_connections,
     compute_channels,
     detect_cuts,
@@ -29,7 +30,9 @@ from .counterexample import (
     SequencePlan,
     build_instance,
     compute_paper_parameters,
+    plan_params,
     size_report,
+    validate_structure,
 )
 from .depth2 import DepthExceeded, embed_depth2
 from .leveltree import (
@@ -54,6 +57,12 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 CHECK_WITNESSES = 20  # violations listed per graph by check --format records
+# search and region level-search build a grid of W² points only when W²
+# times its vertices (or regions) is at most GRID_CAP.  Every search the
+# tests run stays below 1,000, and search --grid 300 on 3 vertices
+# (270,000) fits; setting up a search costs some 40 µs and 1 KB per point,
+# so the largest grid a 3-vertex instance gets (316² points) takes about 4 s
+GRID_CAP = 300_000
 
 
 # --- SVG rendering --------------------------------------------------------
@@ -218,8 +227,17 @@ def cmd_check(args) -> int:
     return EXIT_CLEAN if clean else EXIT_VIOLATION
 
 
+def _grid_fits(w: int, takers: int) -> None:
+    """Refuse, before it is built, a grid of w² points for takers
+    vertices or regions when w² × takers exceeds GRID_CAP."""
+    if w * w * takers > GRID_CAP:
+        raise ValueError(f"--grid {w} is too large: {w * w} points times"
+                         f" {takers} vertices or regions exceeds {GRID_CAP}")
+
+
 def cmd_search(args) -> int:
     inst = load_instance(_read(args.instance))
+    _grid_fits(args.grid, inst.tree.n)
     pts = [Point(x, y) for x in range(args.grid) for y in range(args.grid)]
     res = search_embedding(inst, pts, budget=args.budget)
     code = _answer(args, res)
@@ -233,6 +251,7 @@ def cmd_level_search(args) -> int:
     if rs is not None:
         if args.method is not None:
             raise ValueError("--method applies only to level trees without lines")
+        _grid_fits(args.grid, max(lt.tree.n, len(rs.lines)))
         grid = region_candidates(rs, per_axis=args.grid, span=args.grid)
         return _answer(args, search_region_level_planar(lt, rs, grid,
                                                         budget=args.budget))
@@ -246,6 +265,10 @@ def cmd_analyze(args) -> int:
     plan = SequencePlan.from_json(_read(args.plan))
     d = load_drawing(_read(args.drawing))
     check_vertex_set(inst, d)
+    if inst.tree.labels and plan.sef["tuples"]:  # a plan that generate writes
+        rep = validate_structure(inst, plan_params(plan), plan)
+        if not rep.valid:
+            raise PlanMismatch(f"plan does not fit the instance: {rep.violations[0]}")
     records = []
     passages = detect_passages(inst, d, plan)
     for p in passages:

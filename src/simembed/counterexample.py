@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, compress
 from math import comb, ceil
 from typing import Optional
@@ -341,6 +341,42 @@ def _program(p: CounterexampleParams) -> tuple[list, list]:
                               for j, h in enumerate(group, 1) if j != d])
             for j, group in enumerate(groups, 1) if j not in skipped]))
     return groups, reps
+
+
+def plan_params(plan: SequencePlan) -> CounterexampleParams:
+    """The parameters of a plan that `build_instance` wrote, read off its
+    shape, for `validate_structure` to check the plan against: the SEF
+    holds sef_tuple groups of x joint tuples and sef_reps defect
+    schedules; the first EF has y defects, and its first formation has
+    4·formation_reps·formation_outer cells, the first on h4 at index
+    3·formation_reps.  A plan with no EF takes y = x and both formation
+    counts 1; sef_efs is the least the schedule allows.  FormatError when
+    the shape names no valid parameters, or parameters whose program
+    visits another number of formations than the plan holds."""
+    sef, efs = plan.sef, plan.efs
+    try:
+        x = len(sef["tuples"][0])
+        y, reps, outer = x, 1, 1
+        if efs:
+            f = plan.formations[efs[0]["formations"][0]]
+            h4, cells = f["joints"][3], f["cells"]
+            reps = next(k for k, c in enumerate(cells)
+                        if plan.cells[c].joint == h4) // 3
+            y, outer = len(efs[0]["defects"]), len(cells) // (4 * reps)
+        p = CounterexampleParams(plan.params_s, x, y, reps, outer,
+                                 len(sef["tuples"]), 1, len(sef["defects"]),
+                                 sef["double"])
+        p = replace(p, sef_efs=max(1, p.efs_needed_per_tuple()))
+        p.validate()
+    except (IndexError, KeyError, StopIteration, TypeError, ValueError,
+            ZeroDivisionError) as e:
+        raise FormatError(f"plan shape names no parameters: {e!r}") from None
+    # so that validate_structure builds no program larger than the plan
+    per_ef = p.y * (p.x - 1) if p.x > 1 else p.y
+    if p.efs_needed_per_tuple() * p.sef_tuple * per_ef != len(plan.formations):
+        raise FormatError("plan shape names no parameters: its formation"
+                          " count is not its program's")
+    return p
 
 
 def build_instance(p: CounterexampleParams):

@@ -117,8 +117,11 @@ def verify_conditions(i: Instance, d: Drawing) -> ValidationReport:
     plan = plan_depth2(i)
     r = plan.root
     p1, p2 = _subpaths(i.path.order, r)
-    xs = {w: d.point(w).x for w in d.pos}
-    others = [w for w in d.pos if w != r]
+    # d.ints is d scaled about the origin, the root, by one positive
+    # factor: it keeps x orders, sides of lines through the origin, wedges
+    ic = d.ints
+    xs = {w: p[0] for w, p in ic.items()}
+    others = [w for w in ic if w != r]
     if plan.u is not None and any(xs[w] < xs[plan.u] for w in others):
         rep.add("condition 1: u is not the leftmost non-root vertex")
     for a, b in zip(p1, p1[1:]):
@@ -132,17 +135,17 @@ def verify_conditions(i: Instance, d: Drawing) -> ValidationReport:
     if p1 and p2 and not min(xs[w] for w in p2) > max(xs[w] for w in p1):
         rep.add("condition 4: P2 not entirely right of P1")
     if plan.v is not None:
-        pv = d.point(plan.v)
+        vx, vy = ic[plan.v]
         for w in others:
             if w == plan.v:
                 continue
-            p = d.point(w)
+            x, y = ic[w]
             # above the segment rv <=> left of the directed line r -> v
-            if (pv.x * p.y - pv.y * p.x) <= 0:
+            if (vx * y - vy * x) <= 0:
                 rep.add(f"condition 5: vertex {w} not above segment rv")
     for w in others:
         lo, hi = plan.wedges[plan.assignment[w]]
-        p = d.point(w)
-        if not (p.x > 0 and lo * p.x < p.y < hi * p.x):
+        x, y = ic[w]
+        if not (x > 0 and lo * x < y < hi * x):
             rep.add(f"wedge: vertex {w} outside its wedge")
     return rep

@@ -90,15 +90,15 @@ def check_drawing(edges: Sequence[Edge], d: Drawing) -> CrossingReport:
     every edge pair whose closed x-intervals overlap, and every vertex
     against every edge whose closed x-interval holds it.
     """
+    ic = d.ints
     for u, v in edges:
-        if u not in d.pos or v not in d.pos:
+        if u not in ic or v not in ic:
             raise UndrawnVertex(f"edge ({u},{v}) has an undrawn endpoint")
-        if d.pos[u] == d.pos[v]:
+        if u == v:  # a drawing is injective: only a loop's ends coincide
             raise CoincidentPoints(f"edge ({u},{v}) has coincident endpoints")
 
     rep = CrossingReport()
-    vs = sorted(d.pos)
-    ic = d.ints
+    vs = sorted(ic)
     segs = [(ic[u], ic[v]) for u, v in edges]
     if _plane([(min(s), max(s)) for s in segs], set(ic.values())):
         return rep
@@ -310,8 +310,7 @@ def _place(order, cand, graphs, budget, none, after=None) -> SearchResult:
     The masks, the symmetry count and the root's orbit bits form the
     search's table (_table).  When every vertex shares one list, the
     table comes from an lru_cache over the last _MEMO_LISTS such lists
-    (_shared), and later searches on that list reuse its masks; racing
-    threads may build one table twice, which changes no answer.  A table
+    (_shared), and later searches on that list reuse its masks.  A table
     keeps a newly filled mask only while it holds fewer than _MEMO_MASKS;
     past that, masks are filled without being kept.
 

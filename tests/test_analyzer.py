@@ -155,6 +155,31 @@ class TestDoors:
             assert got == ref
 
 
+def padded(witness, leaves):
+    """The witness with `leaves` more vertices, each a leaf of a vertex
+    outside the separating cell, drawn far from every cell."""
+    inst, d, plan = witness
+    n, hosts = inst.tree.n, [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    parent = list(inst.tree.parent) + [hosts[k % 9] for k in range(leaves)]
+    order = list(inst.path.order) + list(range(n, n + leaves))
+    pos = dict(d.pos) | {n + k: P(1000 + k, 1000 - 2 * k) for k in range(leaves)}
+    return (Instance(RootedTree.from_parent(parent), PathGraph.of(order)),
+            Drawing(pos), plan)
+
+
+class TestFarLeaves:
+    # the passage and its doors read only the cells, the edges at their
+    # vertices and the tree path to the separating joint: 2,000 leaves
+    # elsewhere in the tree change no record
+    def test_same_passages_and_doors(self):
+        inst, d, plan = passage_witness()
+        pinst, pd, _ = padded((inst, d, plan), 2000)
+        ps = detect_passages(inst, d, plan)
+        assert ps and detect_passages(pinst, pd, plan) == ps
+        doors = [enumerate_doors(p, inst, d) for p in ps]
+        assert doors[0] and [enumerate_doors(p, pinst, pd) for p in ps] == doors
+
+
 # --- channel witnesses -----------------------------------------------------
 #
 # Three joints; the interior joint's channel is bounded by the drawn

@@ -8,17 +8,20 @@ expected value is copied from program output.
 
 import io
 import json
+import random
 import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simembed import planarity
-from simembed.cli import main, render_svg
+from simembed.cli import GRID_CAP, main, render_svg
 from simembed.counterexample import (CellLayout, CounterexampleParams, SequencePlan,
                                      size_report)
 from simembed.geom import Point
@@ -209,6 +212,41 @@ class TestSearch:
         assert main(["search", sge, "--grid", "4", "--budget", "1"]) == 3
 
 
+class TestGridCap:
+    # a grid of W² points for n vertices (or regions) is refused before it
+    # is built when W² × n exceeds GRID_CAP: 3000² × 3 would be 9 M Points
+    def test_search_refuses_a_huge_grid_at_once(self, tmp_path, capsys):
+        sge = tmp_path / "s.sge"
+        sge.write_text(CLEAN_SGE)
+        start = time.perf_counter()
+        assert main(["search", str(sge), "--grid", "3000"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid 3000 is too large")
+        assert err.count("\n") == 1
+
+    def test_cap_is_on_points_times_takers(self, tmp_path, capsys):
+        sge = tmp_path / "s.sge"
+        sge.write_text(CLEAN_SGE)
+        w = isqrt(GRID_CAP // 3)
+        with patch("simembed.cli.search_embedding") as search:
+            search.return_value = planarity.SearchResult(
+                planarity.SearchStatus.ProvedNone)
+            assert main(["search", str(sge), "--grid", str(w)]) == 1
+            assert len(search.call_args.args[1]) == w * w
+            assert main(["search", str(sge), "--grid", str(w + 1)]) == 2
+
+    def test_region_search_refuses_a_huge_grid(self, tmp_path, capsys):
+        slt = tmp_path / "r.slt"
+        slt.write_text(dump_level_tree(_GADGET_LEVELS,
+                                       RegionSystem.horizontal([0, 1, 2, 3])))
+        w = isqrt(GRID_CAP // 10) + 1  # 10 vertices, 4 regions
+        assert main(["level-search", str(slt), "--grid", str(w)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid {w} is too large")
+        assert err.count("\n") == 1
+
+
 class TestLevelSearch:
     def test_certified_leveling_exhausts(self, tmp_path, capsys):
         lt = LevelTree.of(RootedTree.from_parent(GADGET_PARENT),
@@ -377,6 +415,56 @@ class TestAnalyze:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the 465-vertex desk instance: generate's output, and a seeded random
+# injective drawing of it
+DESK_465 = ["--s", "2", "--x", "1", "--y", "2", "--formation-reps", "1",
+            "--formation-outer", "1", "--sef-tuple", "2", "--sef-efs", "1",
+            "--sef-reps", "2"]
+
+
+def _swap_heads(raw):
+    # the first and last cells (joints 0 and 7) trade head 1-vertices
+    first, last = raw["cells"][0], raw["cells"][-1]
+    first["head_1vertex"], last["head_1vertex"] = (last["head_1vertex"],
+                                                   first["head_1vertex"])
+
+
+class TestAnalyzeChecksGeneratedPlans:
+    def files(self, tmp_path, capsys):
+        base = str(tmp_path / "desk")
+        assert main(["generate", *DESK_465, "--out", base]) == 0
+        n = load_instance(Path(base + ".sge").read_text()).tree.n
+        cells = random.Random(1).sample(range((4 * n) ** 2), n)
+        Path(base + ".sgd").write_text(dump_drawing(Drawing(
+            {v: Point(c // (4 * n), c % (4 * n)) for v, c in enumerate(cells)})))
+        capsys.readouterr()
+        return [base + ext for ext in (".sge", ".plan", ".sgd")]
+
+    def test_own_plan_is_analyzed(self, tmp_path, capsys):
+        assert main(["analyze", *self.files(tmp_path, capsys)]) == 0
+        assert capsys.readouterr().out.startswith("passages=")
+
+    @pytest.mark.parametrize("edit, message", [
+        (_swap_heads, "cell 0: a member hangs below another joint"),
+        (lambda raw: raw["sef"]["defects"].append([1]),
+         "sef_reps must be divisible by sef_tuple"),
+        (lambda raw: raw["formations"][0]["cells"].clear(),
+         "StopIteration"),
+        (lambda raw: raw["formations"].append(raw["formations"][0]),
+         "formation count is not its program's"),
+    ], ids=["head-swap", "odd-schedule", "empty-formation", "extra-formation"])
+    def test_plan_that_does_not_fit_exits_2(self, tmp_path, capsys, edit, message):
+        sge, plan, sgd = self.files(tmp_path, capsys)
+        raw = json.loads(Path(plan).read_text())
+        edit(raw)
+        Path(plan).write_text(json.dumps(raw))
+        assert main(["analyze", sge, plan, sgd]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert message in out.err
 
 
 class TestRender:

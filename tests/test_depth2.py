@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -185,6 +186,20 @@ class TestVerifyConditions:
         assert verify_conditions(i, Drawing(pos)).valid
         pos[v] = Point(pos[v].x + dx, pos[v].y + dy)
         assert verify_conditions(i, Drawing(pos)).violations == messages
+
+    @pytest.mark.parametrize("v,dx,dy", [(1, 0, 0), (1, 50, 0), (2, 100, 0),
+                                         (1, 0, -100), (4, -7, 3)])
+    def test_same_report_under_scaling(self, v, dx, dy):
+        # q -> (3/7)q keeps the origin, every x order, every side of a
+        # line through the origin and every slope, so the report stays
+        i = inst([None, 0, 0, 1, 2, 1], [3, 1, 0, 5, 2, 4])
+        pos = dict(embed_depth2(i).pos)
+        pos[v] = Point(pos[v].x + dx, pos[v].y + dy)
+        k = Fraction(3, 7)
+        scaled = Drawing({w: Point(k * p.x, k * p.y) for w, p in pos.items()})
+        want = verify_conditions(i, Drawing(pos)).violations
+        assert verify_conditions(i, scaled).violations == want
+        assert bool(want) == ((dx, dy) != (0, 0))
 
 
 class TestPlan:
