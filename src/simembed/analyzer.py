@@ -16,16 +16,14 @@ their vertex ids there.  Points appear only in the objects returned;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .geom import (
     _BAD,
     _features,
-    _sign,
     DegenerateTriangle,
     Point,
     Position,
@@ -86,11 +84,6 @@ class Passage:
     crossed_sep_edges: tuple = ()
 
 
-def _relations(a, b, polyline) -> list[Relation]:
-    """The relation of segment ab with each edge of the polyline."""
-    return [int_relation(a, b, p, q) for p, q in zip(polyline, polyline[1:])]
-
-
 def _check_plan(i: Instance, d: Drawing, plan) -> list[list[int]]:
     """Each cell's path order, once every vertex it and its joint name
     is checked to be a drawn vertex of the tree."""
@@ -113,20 +106,33 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     Separation is decided by crossing parity against the polyline: every
     straight segment from a c1 vertex to a c2 vertex crosses it an odd
     number of times, while segments inside one cell cross it evenly.
-    Degenerate contacts disqualify the candidate polyline.
+    Degenerate contacts disqualify the candidate polyline.  Before that
+    exact test, ray parities (`_Rays`) reject the candidates that some
+    c1-c2 segment is sure to cross evenly; whether a line separates the
+    two cells is asked only once a candidate survives them.
     """
     orders = _check_plan(i, d, plan)
     ic = d.ints
     pts = [[ic[v] for v in vs] for vs in orders]
     joint = [cell.joint for cell in plan.cells]
     parent = i.tree.parent
+    rays = [_Rays(poly) for poly in pts]
     out = []
     for a, b in combinations(range(len(orders)), 2):
-        if joint[a] != joint[b] or int_separable(pts[a], pts[b]):
+        if joint[a] != joint[b]:
             continue
+        if not set(orders[a]).isdisjoint(orders[b]):
+            int_separable(pts[a], pts[b])  # raises SharedPoint
+        separable = None  # asked on the first candidate the rays keep
         for s, poly in enumerate(pts):
             if (joint[s] == joint[a] or len(poly) < 3
-                    or not _separates(pts[a], pts[b], poly)):
+                    or rays[s].rejects(orders[a], pts[a], orders[b], pts[b])):
+                continue
+            if separable is None:
+                separable = int_separable(pts[a], pts[b])
+            if separable:
+                break
+            if not _separates(pts[a], pts[b], poly):
                 continue
             # a tree edge joining the cells is (parent[v], v) for its
             # child end v, a cell vertex
@@ -141,18 +147,112 @@ def detect_passages(i: Instance, d: Drawing, plan) -> list[Passage]:
     return out
 
 
-def _separates(pa: list, pb: list, poly: list) -> bool:
-    def parity(p, q):
-        """Proper crossings of pq with the polyline mod 2, or None on a
-        degenerate contact (touch/overlap/vertex hit)."""
-        rels = _relations(p, q, poly)
-        if Relation.Touching in rels or Relation.Overlapping in rels:
-            return None
-        return rels.count(Relation.ProperCrossing) % 2
+def _sides(p, r, pts) -> list[int]:
+    """int_cross(p, r, q) for each point q of pts: each point's side of
+    the line pr, computed once."""
+    px, py = p
+    ux, uy = r[0] - px, r[1] - py
+    return [ux * (y - py) - uy * (x - px) for x, y in pts]
 
-    if any(parity(p, q) != 1 for p in pa for q in pb):
+
+_TOUCH = (Relation.Touching, Relation.Overlapping)
+
+
+def _crossings(p, r, pts, side=None) -> tuple[list[int], bool]:
+    """(ks, touched) for the segment pr against the polyline pts, whose
+    points lie on the sides `side` of the line pr (computed when not
+    given): pr properly crosses the edge (pts[k], pts[k+1]) exactly for
+    the k in ks, and touched tells whether it touches or overlaps some
+    edge.  An edge with both ends strictly on one side misses pr; on an
+    edge whose ends lie strictly on opposite sides, pr's ends are tested
+    against the edge's line inline; int_relation decides only where an
+    orientation is 0."""
+    if side is None:
+        side = _sides(p, r, pts)
+    (px, py), (rx, ry) = p, r
+    ks, touched = [], False
+    for k in [k for k, s0, s1 in zip(range(len(side)), side, side[1:])
+              if not (s0 > 0 < s1 or s0 < 0 > s1)]:
+        (ax, ay), (bx, by) = pts[k], pts[k + 1]
+        if side[k] and side[k + 1]:
+            vx, vy = bx - ax, by - ay
+            o3 = vx * (py - ay) - vy * (px - ax)
+            o4 = vx * (ry - ay) - vy * (rx - ax)
+            if o3 > 0 < o4 or o3 < 0 > o4:
+                continue
+            if o3 and o4:
+                ks.append(k)
+                continue
+        touched |= int_relation(p, r, pts[k], pts[k + 1]) in _TOUCH
+    return ks, touched
+
+
+def _parity(p, q, poly) -> Optional[int]:
+    """Proper crossings of pq with the polyline mod 2, or None on a
+    degenerate contact (touch/overlap/vertex hit)."""
+    ks, touched = _crossings(p, q, poly)
+    return None if touched else len(ks) % 2
+
+
+def _separates(pa: list, pb: list, poly: list) -> bool:
+    if any(_parity(p, q, poly) != 1 for p in pa for q in pb):
         return False
-    return all(parity(p, q) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
+    return all(_parity(p, q, poly) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
+
+
+class _Rays:
+    """One polyline's crossing parity with the upward vertical ray from
+    each vertex's point, computed on first use.
+
+    For a segment pq with p.x < q.x, let R be the open region above pq
+    between the verticals through p and q.  When the polyline meets R's
+    boundary only where it crosses it, the polyline's proper crossings
+    with pq, mod 2, are w(p) + w(q) + [e0 in R] + [e1 in R], where w is
+    the ray parity and e0, e1 are the polyline's ends (the Jordan curve
+    theorem on R's boundary).  w is None when a polyline vertex lies on
+    the vertical through the point or an edge passes through the point;
+    a segment with p.x = q.x is not judged.  A polyline vertex on pq
+    itself is a touch, which fails the exact test anyway."""
+
+    def __init__(self, poly: list):
+        self.ends = (poly[0], poly[-1])
+        self.xs = {x for x, _ in poly}
+        # the non-vertical edges, left end first
+        self.edges = [(*r, *s) if r[0] < s[0] else (*s, *r)
+                      for r, s in zip(poly, poly[1:]) if r[0] != s[0]]
+        self.w = {}  # vertex -> ray parity of its point, or None
+
+    def at(self, v: int, q) -> Optional[int]:
+        if v not in self.w:
+            qx, qy = q
+            # the crossed edges, each by q's side of it: below when < 0
+            cs = None if qx in self.xs else [
+                (x1 - x0) * (qy - y0) - (y1 - y0) * (qx - x0)
+                for x0, y0, x1, y1 in self.edges if x0 < qx < x1]
+            self.w[v] = (None if cs is None or 0 in cs
+                         else len([c for c in cs if c < 0]) % 2)
+        return self.w[v]
+
+    def rejects(self, va, pa, vb, pb) -> bool:
+        """Whether some segment from a point of pa to a point of pb (of
+        the vertices va and vb) is sure to cross the polyline an even
+        number of times, or to touch it: then the polyline does not
+        separate pa from pb."""
+        for u, p in zip(va, pa):
+            wp = self.at(u, p)
+            if wp is None:
+                continue
+            for v, q in zip(vb, pb):
+                wq = self.at(v, q)
+                if wq is None or p[0] == q[0]:
+                    continue
+                (lx, ly), (rx, ry) = (p, q) if p[0] < q[0] else (q, p)
+                odd = wp ^ wq
+                for ex, ey in self.ends:
+                    odd ^= lx < ex < rx and (rx - lx) * (ey - ly) > (ry - ly) * (ex - lx)
+                if not odd:
+                    return True
+        return False
 
 
 def _crossed_polyline_edges(edges, set1, set2, ic, poly) -> tuple:
@@ -162,9 +262,7 @@ def _crossed_polyline_edges(edges, set1, set2, ic, poly) -> tuple:
     for u, v in edges:
         if not ((u in set1 and v in set2) or (u in set2 and v in set1)):
             continue
-        rels = _relations(ic[u], ic[v], poly)
-        hit.update(e for e, rel in enumerate(rels)
-                   if rel is Relation.ProperCrossing)
+        hit.update(_crossings(ic[u], ic[v], poly)[0])
     return tuple(sorted(hit))
 
 
@@ -395,20 +493,23 @@ def _side(anchor, direction, q) -> int:
     return _cross(direction, _sub(q, anchor))
 
 
-def _in_polygon(q, seg: _Region) -> bool:
+def _in_polygon(q, seg: _Region, cs=None) -> bool:
     """Strict even-odd membership in a bounded region; boundary points
-    count as outside.  A point strictly inside lies strictly inside the
-    bounding box, and the crossing count decides before the boundary
-    test, which only turns an odd count into outside."""
+    count as outside.  cs[j], when given, is int_cross(p, r, q) for the
+    region's j-th edge (p, r).  A point strictly inside lies strictly
+    inside the bounding box, and the crossing count decides before the
+    boundary test, which only turns an odd count into outside."""
     x0, x1, y0, y1 = seg.box
     if not (x0 < q[0] < x1 and y0 < q[1] < y1):
         return False
+    if cs is None:
+        cs = [int_cross(p, r, q) for p, r in seg.edges]
     inside = False
-    for p, r in seg.edges:
-        if (p[1] > q[1]) != (r[1] > q[1]):
-            c = int_cross(p, r, q)  # q lies left of the edge's crossing
+    for (p, r), c in zip(seg.edges, cs):
+        if (p[1] > q[1]) != (r[1] > q[1]):  # q lies left of the edge's crossing
             inside ^= c != 0 and (c > 0) == (r[1] > p[1])
-    return inside and not any(int_on_segment(q, p, r) for p, r in seg.edges)
+    return inside and not any(c == 0 and int_on_segment(q, p, r)
+                              for (p, r), c in zip(seg.edges, cs))
 
 
 def _contains(root, seg: _Region, q) -> bool:
@@ -444,14 +545,12 @@ def segment_of(ch: Channel, q: Point) -> Optional[int]:
 
 
 def _line_hits_segment_region(a, b, seg: _Region) -> bool:
-    """Does the full line through a, b meet the (convex) region?"""
-    signs = {_sign(int_cross(a, b, q)) for q in seg.vertices}
-    for origin, direction in (seg.rays or ()):
-        signs.add(_sign(int_cross(a, b, origin)))
-        cd = _cross(_sub(b, a), direction)
-        if cd != 0:
-            signs.add(_sign(cd))
-    return 0 in signs or (1 in signs and -1 in signs)
+    """Does the full line through a, b meet the (convex) region?  A ray's
+    origin is a vertex of its region, so the vertices' sides and the
+    rays' directions decide."""
+    sides = _sides(a, b, seg.vertices)
+    sides += [c for c in (_cross(_sub(b, a), v) for _, v in seg.rays or ()) if c]
+    return min(sides) <= 0 <= max(sides)
 
 
 def _ray_segment_hit(origin, direction, a, b) -> bool:
@@ -476,10 +575,12 @@ def _ray_ray_hit(o1, d1, o2, d2) -> bool:
     return t * den >= 0 and s * den >= 0
 
 
-def _segment_hits_region(root, a, b, seg: _Region) -> bool:
-    return (_contains(root, seg, a) or _contains(root, seg, b)
-            or any(int_relation(a, b, *s) is Relation.ProperCrossing
-                   for s in seg.edges)
+def _crosses_boundary(a, b, seg: _Region) -> bool:
+    """Whether the segment ab properly crosses an edge of the region or
+    meets one of its rays; with an end of ab strictly inside, this is
+    whether ab meets the region."""
+    return (any(int_relation(a, b, *s) is Relation.ProperCrossing
+                for s in seg.edges)
             or any(_ray_segment_hit(o, v, a, b) for o, v in seg.rays or ()))
 
 
@@ -501,15 +602,16 @@ class CutEvent:
     extremal: bool = False
 
 
-def _gap(gate, a, b) -> Fraction:
-    """Four times the squared distance from the midpoint of gate to the
-    closed segment ab: doubled, the points stay integral."""
+def _gap(gate, a, b) -> tuple[int, int]:
+    """(num, den), den > 0: four times the squared distance from the
+    midpoint of gate to the closed segment ab is num / den.  Doubled, the
+    points stay integral; gaps compare by cross-multiplying."""
     w = (gate[0][0] + gate[1][0] - 2 * a[0], gate[0][1] + gate[1][1] - 2 * a[1])
     e = (2 * (b[0] - a[0]), 2 * (b[1] - a[1]))
     t, n = w[0] * e[0] + w[1] * e[1], e[0] ** 2 + e[1] ** 2
     if t >= n:  # nearest to b
         w, t = _sub(w, e), 0
-    return Fraction((w[0] ** 2 + w[1] ** 2) * n - max(t, 0) ** 2, n)
+    return (w[0] ** 2 + w[1] ** 2) * n - max(t, 0) ** 2, n
 
 
 def _vertex_to_ef(plan) -> dict:
@@ -524,6 +626,38 @@ def _vertex_to_ef(plan) -> dict:
     return owner
 
 
+def _inside(root, wa, wb, segs, sa, sb, sg, pts) -> list[set]:
+    """For each segment of the channel, in index order, the set of k
+    whose point pts[k] it strictly contains (as _contains tells), read
+    off the points' sides of the channel's walls and gates: sa[h-1] and
+    sb[h-1] hold their sides of wall edge h of either bounding path (wa
+    or wb, h = 1..x+1), and sg[h-1] their sides of gate h (h = 1..x)."""
+    x = len(sg)
+    # the unbounded segment x+1 (the root wedge when x = 0): sign tests
+    if x == 0:
+        ka, kb = int_cross(wa[0], wa[1], wb[1]), int_cross(wb[0], wb[1], wa[1])
+        inner = [k for k, s, t in zip(range(len(pts)), sa[0], sb[0])
+                 if s * ka > 0 and t * kb > 0]
+    else:
+        ka, kb = int_cross(wa[x], wa[x + 1], wb[x]), int_cross(wb[x], wb[x + 1], wa[x])
+        g = int_cross(wa[x], wb[x], root)  # beyond the gate: the other side
+        inner = [k for k, s, t, c in zip(range(len(pts)), sa[x], sb[x], sg[x - 1])
+                 if s * ka > 0 and t * kb > 0 and c * g < 0]
+    out = []
+    # the bounded ones: each edge's side list, negated for an edge run
+    # backwards
+    for h in range(1, x + 1):
+        seg = segs[h - 1]
+        lines = [(sa[h - 1], 1), (sg[h - 1], 1), (sb[h - 1], -1)]
+        if h > 1:
+            lines.append((sg[h - 2], -1))
+        x0, x1, y0, y1 = seg.box
+        out.append({k for k, (qx, qy) in enumerate(pts)
+                    if x0 < qx < x1 and y0 < qy < y1
+                    and _in_polygon(pts[k], seg, [sign * side[k] for side, sign in lines])})
+    return out + [set(inner)]
+
+
 def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
                 plan=None) -> list[CutEvent]:
     """Classify every path edge against every channel.
@@ -535,52 +669,69 @@ def detect_cuts(i: Instance, d: Drawing, channels: Sequence[Channel],
     stays out of segment h+1.  Double cuts are flagged extremal when no
     double cut of the same group (same extended formation when a plan is
     given) lies closer to the bending area between the two segments.
+
+    Each channel computes every path vertex's side of each of its wall
+    and gate lines once; the segment holding each vertex and the path
+    edges crossing each wall are read off those sides.
     """
     ic = d.ints
-    regions = [_on_ints(ch, ic) for ch in channels]
-    # per channel: the segment holding each drawn vertex and the two
-    # bounding paths on integer points
-    where = [{v: _segment_of(root, segs, q) for v, q in ic.items()}
-             for root, _, segs in regions]
+    order = i.path.order
+    pts = [ic[v] for v in order] if len(order) > 1 else []
     walls = [[[ic[w] for w in path] for path in (ch.path_a, ch.path_b)]
              for ch in channels]
-    events = []
-    doubles, least = [], {}  # least: each group's least gap
+    homes = {}  # path edge k -> [(channel, segment pair)]
+    events, least = [], {}  # least: each group's least gap, and its cuts
     owner = _vertex_to_ef(plan)
-    for u, v in i.path.edges():
-        a, b = ic[u], ic[v]
-        homes = []
-        for ch, at in zip(channels, where):
-            su, sv = at[u], at[v]
+    for ch, (wa, wb) in zip(channels, walls):
+        root, gs, segs = _on_ints(ch, ic)
+        sa, sb = ([_sides(w[h - 1], w[h], pts) for h in range(1, ch.x + 2)]
+                  for w in (wa, wb))
+        sg = [_sides(ga, gb, pts) for ga, gb in gs]
+        inside = _inside(root, wa, wb, segs, sa, sb, sg, pts)
+        # the segment holding each path vertex, as _segment_of tells: the
+        # least index holding it
+        at = [None] * len(pts)
+        for h in range(len(segs), 0, -1):
+            for k in inside[h - 1]:
+                at[k] = h
+        for k, su, sv in zip(range(len(at)), at, at[1:]):
             if su is not None and sv is not None and abs(su - sv) == 1:
-                homes.append((ch, tuple(sorted((su, sv)))))
-        for ch, span in homes:
+                homes.setdefault(k, []).append((ch, (min(su, sv), max(su, sv))))
+        for h in range(1, len(segs)):
+            # the path edges crossing either wall bounding segment h
+            crossed = set(_crossings(wa[h - 1], wa[h], pts, sa[h - 1])[0])
+            crossed.update(_crossings(wb[h - 1], wb[h], pts, sb[h - 1])[0])
+            nxt, span = segs[h], (h, h + 1)
+            for k in crossed:
+                a, b = pts[k], pts[k + 1]
+                if not _line_hits_segment_region(a, b, nxt):
+                    continue
+                simple = not (k in inside[h] or k + 1 in inside[h]
+                              or _crosses_boundary(a, b, nxt))
+                kind = CutKind.DoubleCutSimple if simple \
+                    else CutKind.DoubleCutNonSimple
+                num, den = _gap(gs[h - 1], a, b)
+                u, v = order[k], order[k + 1]
+                group = (ch.joint, h, owner.get(u, owner.get(v)))
+                best = least.get(group)
+                if best is None or num * best[1] < best[0] * den:
+                    least[group] = (num, den, [len(events)])
+                elif num * best[1] == best[0] * den:
+                    best[2].append(len(events))
+                events.append(CutEvent(kind, (u, v), ch.joint, span))
+    for *_, nearest in least.values():
+        for e in nearest:
+            events[e] = replace(events[e], extremal=True)
+    for k, spans in homes.items():
+        a, b = pts[k], pts[k + 1]
+        for ch, span in spans:
             for other, polys in zip(channels, walls):
                 if other.joint == ch.joint:
                     continue
-                rels = [rel for poly in polys for rel in _relations(a, b, poly)]
-                if rels.count(Relation.ProperCrossing) >= 2:
-                    events.append(CutEvent(CutKind.BlockingCut, (u, v),
+                if sum(len(_crossings(a, b, poly)[0]) for poly in polys) >= 2:
+                    events.append(CutEvent(CutKind.BlockingCut,
+                                           (order[k], order[k + 1]),
                                            other.joint, span))
-        for ch, (root, gs, segs), (wa, wb) in zip(channels, regions, walls):
-            for h in range(1, len(segs)):
-                # the two walls bounding segment h
-                if (int_relation(a, b, wa[h - 1], wa[h]) is not Relation.ProperCrossing
-                        and int_relation(a, b, wb[h - 1], wb[h])
-                        is not Relation.ProperCrossing):
-                    continue
-                nxt = segs[h]
-                if not _line_hits_segment_region(a, b, nxt):
-                    continue
-                simple = not _segment_hits_region(root, a, b, nxt)
-                kind = CutKind.DoubleCutSimple if simple \
-                    else CutKind.DoubleCutNonSimple
-                dist = _gap(gs[h - 1], a, b)
-                group = (ch.joint, h, owner.get(u, owner.get(v)))
-                least[group] = min(dist, least.get(group, dist))
-                doubles.append((group, dist, kind, (u, v), ch.joint, (h, h + 1)))
-    events += [CutEvent(kind, edge, joint, span, extremal=(dist == least[group]))
-               for group, dist, kind, edge, joint, span in doubles]
     events.sort(key=lambda ev: (ev.kind.value, ev.edge, ev.channel, ev.segments))
     return events
 

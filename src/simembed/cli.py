@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from math import lcm
 
 from .analyzer import (
@@ -269,40 +268,47 @@ def cmd_analyze(args) -> int:
         rep = validate_structure(inst, plan_params(plan), plan)
         if not rep.valid:
             raise PlanMismatch(f"plan does not fit the instance: {rep.violations[0]}")
-    records = []
     passages = detect_passages(inst, d, plan)
-    for p in passages:
-        records.append({"kind": "passage", "c1": p.c1, "c2": p.c2,
-                        "c_sep": p.c_sep, "joint": p.joint,
-                        "sep_joint": p.sep_joint,
-                        "crossed_sep_edges": list(p.crossed_sep_edges)})
-        for door in enumerate_doors(p, inst, d):
-            records.append({"kind": "door", "passage": [p.c1, p.c2, p.c_sep],
-                            "apex": door.apex, "base": list(door.base),
-                            "status": door.status.value})
+    doors = [enumerate_doors(p, inst, d) for p in passages]
     joints = sorted(v for v in range(inst.tree.n)
                     if inst.tree.labels and inst.tree.role(v) is Role.Joint)
     channels = compute_channels(inst, d, joints) if len(joints) >= 3 else []
-    for ch in channels:
-        records.append({"kind": "channel", "joint": ch.joint, "x": ch.x,
-                        "segments": len(ch.segments)})
-    if channels:
-        for ev in detect_cuts(inst, d, channels, plan):
-            records.append({"kind": "cut", "cut_kind": ev.kind.value,
-                            "edge": list(ev.edge), "channel": ev.channel,
-                            "segments": list(ev.segments),
-                            "extremal": ev.extremal})
-        for rep in classify_connections(channels, d):
-            for (a, b), kind in sorted(rep.entries.items()):
-                records.append({"kind": "connection", "joint": rep.joint,
-                                "pair": [a, b], "connection": kind.value})
+    cuts = detect_cuts(inst, d, channels, plan) if channels else []
+    reports = classify_connections(channels, d) if channels else []
     if args.format != "records":
-        counts = Counter(rec["kind"] for rec in records)
-        print(" ".join(f"{kind}s={counts[kind]}" for kind in
-                       ("passage", "door", "channel", "cut", "connection")))
-    for rec in records:
-        _emit(args, rec, "  " + " ".join(f"{k}={v}" for k, v in sorted(rec.items())))
+        counts = (len(passages), sum(map(len, doors)), len(channels), len(cuts),
+                  sum(len(rep.entries) for rep in reports))
+        print(" ".join(f"{kind}s={k}" for kind, k in zip(
+            ("passage", "door", "channel", "cut", "connection"), counts)))
+    # one record at a time: a large drawing has hundreds of thousands
+    for rec in _analysis_records(passages, doors, channels, cuts, reports):
+        _emit(args, rec, "" if args.format == "records"
+              else "  " + " ".join(f"{k}={v}" for k, v in sorted(rec.items())))
     return EXIT_CLEAN
+
+
+def _analysis_records(passages, doors, channels, cuts, reports):
+    """The records of an analysis, in output order: each passage followed
+    by its doors, then the channels, the cuts and the connections."""
+    for p, ds in zip(passages, doors):
+        yield {"kind": "passage", "c1": p.c1, "c2": p.c2, "c_sep": p.c_sep,
+               "joint": p.joint, "sep_joint": p.sep_joint,
+               "crossed_sep_edges": list(p.crossed_sep_edges)}
+        for door in ds:
+            yield {"kind": "door", "passage": [p.c1, p.c2, p.c_sep],
+                   "apex": door.apex, "base": list(door.base),
+                   "status": door.status.value}
+    for ch in channels:
+        yield {"kind": "channel", "joint": ch.joint, "x": ch.x,
+               "segments": len(ch.segments)}
+    for ev in cuts:
+        yield {"kind": "cut", "cut_kind": ev.kind.value, "edge": list(ev.edge),
+               "channel": ev.channel, "segments": list(ev.segments),
+               "extremal": ev.extremal}
+    for rep in reports:
+        for (a, b), kind in sorted(rep.entries.items()):
+            yield {"kind": "connection", "joint": rep.joint, "pair": [a, b],
+                   "connection": kind.value}
 
 
 def cmd_render(args) -> int:

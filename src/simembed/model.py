@@ -265,15 +265,21 @@ def _tokens(rest: str):
 def _rows(text: str, header: str):
     """Skip blank lines and `#` comments, check that the first row is
     `header` with an integer in place of each `<field>`, and return those
-    integers and an iterator over the other rows as (tag, rest) pairs,
-    split one row at a time."""
+    integers and an iterator over the other rows, stripped."""
     rows = (ln for ln in map(str.strip, text.splitlines())
             if ln and ln[0] != "#")
     got, want = next(rows, "").split(), header.split()
     if len(got) != len(want) or got[:2] != want[:2]:
         raise FormatError(f"missing '{header}' header")
-    return ([int(tok) for tok in got[2:]],
-            ((*ln.split(None, 1), "")[:2] for ln in rows))
+    try:
+        return [int(tok) for tok in got[2:]], rows
+    except ValueError:
+        raise FormatError(f"missing '{header}' header") from None
+
+
+def _split(row: str) -> tuple[str, str]:
+    """A row's tag and the rest of it."""
+    return (*row.split(None, 1), "")[:2]
 
 
 def _records(text: str, header: str, parsers: dict, required: tuple,
@@ -281,20 +287,26 @@ def _records(text: str, header: str, parsers: dict, required: tuple,
     """Read a `_rows` document whose tags are the keys of `parsers`: return
     the header integers and each tag's parsed value, None if absent (for a
     tag in `repeated`, the list of its values).  An unknown tag, a second
-    record of a tag not in `repeated`, a missing required tag and a record
-    not in `repeated` whose length is not the header's first integer are
-    FormatErrors."""
+    record of a tag not in `repeated`, a missing required tag, a token
+    that a parser's int() cannot read and a record not in `repeated`
+    whose length is not the header's first integer are FormatErrors."""
     fields, rows = _rows(text, header)
     values = {tag: [] for tag in repeated}
-    for tag, rest in rows:
+    for tag, rest in map(_split, rows):
         if tag not in parsers:
             raise FormatError(f"unknown record {tag!r}")
-        if tag in repeated:
-            values[tag].append(parsers[tag](rest))
-        elif tag in values:
+        if tag not in repeated and tag in values:
             raise FormatError(f"repeated record {tag!r}")
+        try:
+            value = parsers[tag](rest)
+        except ValueError as e:
+            if type(e) is not ValueError:  # a FormatError or GeometryError
+                raise
+            raise FormatError(f"record {tag!r}: {e}") from None  # from int()
+        if tag in repeated:
+            values[tag].append(value)
         else:
-            values[tag] = parsers[tag](rest)
+            values[tag] = value
     if not all(tag in values for tag in required):
         raise FormatError(" and ".join(required) + " records are required")
     if any(len(values[tag]) != fields[0] for tag in values if tag not in repeated):
@@ -380,14 +392,36 @@ def dump_drawing(d: Drawing) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a row as dump_drawing writes it: id, then x and y as -?digits(/digits)?
+_DRAWN = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)(?:/([0-9]+))?\s+(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _point(m: re.Match) -> Point:
+    """The point of a row that _DRAWN matched."""
+    _, xn, xd, yn, yd = m.groups()
+    try:
+        return Point(Fraction(int(xn), int(xd)) if xd else Fraction(int(xn)),
+                     Fraction(int(yn), int(yd)) if yd else Fraction(int(yn)))
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {' '.join(_split(m.string))!r}") from None
+
+
 def load_drawing(text: str) -> Drawing:
+    """Parse an .sgd document.  A row as dump_drawing writes it is read
+    by one _DRAWN match; any other row (an id that int() reads in another
+    spelling, or a malformed row) token by token, which names the fault."""
     (n,), rows = _rows(text, "sgd 1 <n>")
     pos = {}
-    for vid, rest in rows:
-        v = int(vid)  # as an integer, so that 1 and 01 name one vertex
+    for row in rows:
+        m = _DRAWN.fullmatch(row)
+        vid, rest = _split(row) if m is None else (m[1], "")
+        try:
+            v = int(vid)  # as an integer, so that 1 and 01 name one vertex
+        except ValueError as e:
+            raise FormatError(f"record {vid!r}: {e}") from None
         if v in pos:
             raise FormatError(f"repeated record for vertex {v}")
-        pos[v] = Point(*_rationals(vid, rest, "<id> <x> <y>"))
+        pos[v] = _point(m) if m else Point(*_rationals(vid, rest, "<id> <x> <y>"))
     if len(pos) != n:
         raise FormatError("vertex count disagrees with header")
     return Drawing(pos)

@@ -19,6 +19,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -31,15 +32,6 @@ from simembed.analyzer import (
     CutKind,
     Passage,
     _build_segments,
-    _cross,
-    _crossed_polyline_edges,
-    _gap,
-    _ray_segment_hit,
-    _relations,
-    _separates,
-    _side,
-    _sub,
-    _vertex_to_ef,
     compute_channels,
     detect_cuts,
     detect_passages,
@@ -102,6 +94,91 @@ def drawing(n: int, kind: str, seed: int) -> Drawing:
 
 
 # --- the references -------------------------------------------------------
+#
+# The references share no predicate code with the analyzer they judge:
+# the helpers below are the analyzer's own as they were before each
+# point's side of a line was read once, built only on geom's integer
+# kernel, so that a change to the analyzer's helpers cannot carry the
+# references along with it.
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _side(anchor, direction, q) -> int:
+    return _cross(direction, _sub(q, anchor))
+
+
+def _relations(a, b, polyline) -> list[Relation]:
+    """The relation of segment ab with each edge of the polyline."""
+    return [int_relation(a, b, p, q) for p, q in zip(polyline, polyline[1:])]
+
+
+def _separates(pa: list, pb: list, poly: list) -> bool:
+    def parity(p, q):
+        """Proper crossings of pq with the polyline mod 2, or None on a
+        degenerate contact (touch/overlap/vertex hit)."""
+        rels = _relations(p, q, poly)
+        if Relation.Touching in rels or Relation.Overlapping in rels:
+            return None
+        return rels.count(Relation.ProperCrossing) % 2
+
+    if any(parity(p, q) != 1 for p in pa for q in pb):
+        return False
+    return all(parity(p, q) == 0 for g in (pa, pb) for p, q in combinations(g, 2))
+
+
+def _crossed_polyline_edges(edges, set1, set2, ic, poly) -> tuple:
+    """Indices of polyline edges properly crossed by those of the given
+    tree edges that join the two cell vertex sets."""
+    hit = set()
+    for u, v in edges:
+        if not ((u in set1 and v in set2) or (u in set2 and v in set1)):
+            continue
+        rels = _relations(ic[u], ic[v], poly)
+        hit.update(e for e, rel in enumerate(rels)
+                   if rel is Relation.ProperCrossing)
+    return tuple(sorted(hit))
+
+
+def _ray_segment_hit(origin, direction, a, b) -> bool:
+    e = _sub(b, a)
+    den = _cross(direction, e)
+    if den == 0:
+        return False  # parallel; degenerate overlaps ignored
+    w = _sub(a, origin)
+    t, u = _cross(w, e), _cross(w, direction)
+    if den < 0:
+        den, t, u = -den, -t, -u
+    return t >= 0 and 0 <= u <= den
+
+
+def _gap(gate, a, b) -> Fraction:
+    """Four times the squared distance from the midpoint of gate to the
+    closed segment ab: doubled, the points stay integral."""
+    w = (gate[0][0] + gate[1][0] - 2 * a[0], gate[0][1] + gate[1][1] - 2 * a[1])
+    e = (2 * (b[0] - a[0]), 2 * (b[1] - a[1]))
+    t, n = w[0] * e[0] + w[1] * e[1], e[0] ** 2 + e[1] ** 2
+    if t >= n:  # nearest to b
+        w, t = _sub(w, e), 0
+    return Fraction((w[0] ** 2 + w[1] ** 2) * n - max(t, 0) ** 2, n)
+
+
+def _vertex_to_ef(plan) -> dict:
+    if plan is None:
+        return {}
+    owner = {}
+    for ef_idx, ef in enumerate(plan.efs):
+        for f_idx in ef["formations"]:
+            for cell_id in plan.formations[f_idx]["cells"]:
+                for v in plan.cells[cell_id].path_order():
+                    owner[v] = ef_idx
+    return owner
+
 
 class _Ints(dict):
     """Vertex -> integer point for all of d, and Point -> integer point

@@ -17,11 +17,12 @@ from simembed.leveltree import (
     _sibling_cut,
     check_level_drawing,
     lemma1_tree,
+    load_level_tree,
     region_candidates,
     search_level_planar,
     search_region_level_planar,
 )
-from simembed.model import RootedTree
+from simembed.model import FormatError, RootedTree
 
 GADGET = RootedTree.from_parent([None, 0, 0, 0, 1, 2, 3, 1, 2, 3])
 
@@ -45,6 +46,12 @@ class TestLevelTree:
     def test_levels_grouping(self):
         t = RootedTree.from_parent([None, 0, 0])
         assert LevelTree.of(t, [1, 2, 2]).levels() == {1: [0], 2: [1, 2]}
+
+    def test_non_integer_level_is_a_format_error(self):
+        # the message names the record; a library caller that catches
+        # FormatError sees it
+        with pytest.raises(FormatError, match="record 'phi'"):
+            load_level_tree("slt 1 2 2\ntree - 0\nphi 1 q\n")
 
 
 class TestSearchLevelPlanar:

@@ -275,6 +275,20 @@ class TestSerialization:
         with pytest.raises(FormatError, match="<id> <x> <y>"):
             load_drawing(text)
 
+    def test_non_integer_vertex_id_is_a_format_error(self):
+        with pytest.raises(FormatError, match="record 'x'"):
+            load_drawing("sgd 1 1\nx 1 2\n")
+
+    @pytest.mark.parametrize("text, named", [
+        ("sge 1 2\ntree - 0\npath 0 x\n", "record 'path'"),
+        ("sge 1 2\ntree - y\npath 0 1\n", "record 'tree'"),
+        ("sge 1 x\ntree - 0\npath 0 1\n", "'sge 1 <n>' header"),
+    ])
+    def test_non_integer_token_is_a_format_error(self, text, named):
+        # one conversion per record, so a bad token names its record
+        with pytest.raises(FormatError, match=named):
+            load_instance(text)
+
 
 # coordinates with small numerators over denominators 1, 2, 3 and 7, so
 # that drawn points collide often
